@@ -25,42 +25,15 @@ namespace memstress::estimator {
 using defects::Defect;
 using defects::DefectKind;
 
-DetectabilityDb::DetectabilityDb(const DetectabilityDb& other)
-    : entries_(other.entries_),
-      quarantine_(other.quarantine_),
-      fingerprint_(other.fingerprint_),
-      technology_(other.technology_) {}
-
-DetectabilityDb& DetectabilityDb::operator=(const DetectabilityDb& other) {
-  entries_ = other.entries_;
-  quarantine_ = other.quarantine_;
-  fingerprint_ = other.fingerprint_;
-  technology_ = other.technology_;
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  index_.reset();
-  return *this;
-}
-
-DetectabilityDb::DetectabilityDb(DetectabilityDb&& other) noexcept
-    : entries_(std::move(other.entries_)),
-      quarantine_(std::move(other.quarantine_)),
-      fingerprint_(std::move(other.fingerprint_)),
-      technology_(other.technology_) {}
-
-DetectabilityDb& DetectabilityDb::operator=(DetectabilityDb&& other) noexcept {
-  entries_ = std::move(other.entries_);
-  quarantine_ = std::move(other.quarantine_);
-  fingerprint_ = std::move(other.fingerprint_);
-  technology_ = other.technology_;
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  index_.reset();
-  return *this;
-}
-
 void DetectabilityDb::add(DbEntry entry) {
   entries_.push_back(entry);
-  std::lock_guard<std::mutex> lock(index_mutex_);
   index_.reset();
+}
+
+void DetectabilityDb::LazyIndex::reset() noexcept {
+  std::lock_guard<std::mutex> lock(mutex);
+  ready.store(nullptr, std::memory_order_relaxed);
+  built.reset();
 }
 
 void DetectabilityDb::add_quarantine(QuarantineEntry entry) {
@@ -92,15 +65,17 @@ std::string QuarantineEntry::describe() const {
          ": " + reason + " (" + std::to_string(attempts) + " attempts)";
 }
 
-std::shared_ptr<const DetectabilityDb::Index> DetectabilityDb::index() const {
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (index_) return index_;
+const DetectabilityDb::Index& DetectabilityDb::index() const {
+  if (const Index* ready = index_.ready.load(std::memory_order_acquire))
+    return *ready;
+  std::lock_guard<std::mutex> lock(index_.mutex);
+  if (index_.built) return *index_.built;
   {
     static metrics::Counter& rebuilds =
         metrics::counter("estimator.db_index_rebuilds");
     rebuilds.add(1);
   }
-  auto built = std::make_shared<Index>();
+  auto built = std::make_unique<Index>();
   for (std::uint32_t i = 0; i < entries_.size(); ++i) {
     const DbEntry& e = entries_[i];
     Bucket& bucket = (*built)[{static_cast<int>(e.kind), e.category}];
@@ -117,8 +92,9 @@ std::shared_ptr<const DetectabilityDb::Index> DetectabilityDb::index() const {
     }
     group->entry_indices.push_back(i);
   }
-  index_ = std::move(built);
-  return index_;
+  index_.built = std::move(built);
+  index_.ready.store(index_.built.get(), std::memory_order_release);
+  return *index_.built;
 }
 
 bool DetectabilityDb::detected(DefectKind kind, int category, double resistance,
@@ -128,9 +104,9 @@ bool DetectabilityDb::detected(DefectKind kind, int category, double resistance,
         metrics::counter("estimator.db_lookups");
     lookups.add(1);
   }
-  const auto idx = index();
-  const auto it = idx->find({static_cast<int>(kind), category});
-  require(it != idx->end(),
+  const Index& idx = index();
+  const auto it = idx.find({static_cast<int>(kind), category});
+  require(it != idx.end(),
           "DetectabilityDb: no entries for this defect class");
 
   // Condition distance dominates; defect parameters break ties within a
@@ -390,19 +366,10 @@ std::string spec_fingerprint(const CharacterizeSpec& spec) {
   canon += "|tech ";
   canon += tech::technology_name(spec.technology);
   tech::model_for(spec.technology).append_fingerprint(spec, canon);
-  std::snprintf(buffer, sizeof buffer, "%08x", checkpoint::crc32(canon));
-  return buffer;
+  return checkpoint::crc32_hex(canon);
 }
 
 namespace {
-
-/// Result slot for one grid point, guarded by the sweep's state mutex.
-struct PointState {
-  enum : unsigned char { kPending = 0, kDone, kQuarantined } state = kPending;
-  bool detected = false;
-  int attempts = 0;
-  std::string reason;
-};
 
 /// CRC32 over the canonical grid description: a checkpoint written for one
 /// grid never resumes a different one. The technology id and its backend
@@ -424,97 +391,24 @@ std::string grid_fingerprint(const CharacterizeSpec& spec,
                   t.entry.period);
     canon += buffer;
   }
-  std::snprintf(buffer, sizeof buffer, "%08x", checkpoint::crc32(canon));
-  return buffer;
+  return checkpoint::crc32_hex(canon);
 }
 
-std::string serialize_points(const std::string& fingerprint,
-                             const std::vector<PointState>& points) {
-  std::string payload = "characterize 1 " + fingerprint + " " +
-                        std::to_string(points.size()) + "\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const PointState& p = points[i];
-    if (p.state == PointState::kDone) {
-      payload += std::to_string(i) + (p.detected ? " 1\n" : " 0\n");
-    } else if (p.state == PointState::kQuarantined) {
-      std::string reason = p.reason;
-      for (char& c : reason)
-        if (c == '\n' || c == '\r') c = ' ';
-      payload += std::to_string(i) + " Q " + std::to_string(p.attempts) +
-                 " " + reason + "\n";
-    }
-  }
-  return payload;
-}
-
-/// Restore completed points from a checkpoint payload. Any inconsistency
-/// (foreign fingerprint, malformed line) rejects the whole snapshot with a
-/// row-numbered warning and the sweep restarts from scratch.
-std::size_t restore_points(const std::string& path, const std::string& payload,
-                           const std::string& fingerprint,
-                           std::vector<PointState>& points) {
-  std::istringstream in(payload);
-  std::string line;
-  if (!std::getline(in, line) ||
-      line != "characterize 1 " + fingerprint + " " +
-                  std::to_string(points.size())) {
-    log_warn("characterize: checkpoint ", path,
-             ": header does not match this grid (stale or foreign snapshot); "
-             "restarting from scratch");
-    return 0;
-  }
-  std::vector<PointState> restored(points.size());
-  std::size_t count = 0;
-  for (std::size_t row = 2; std::getline(in, line); ++row) {
-    std::istringstream fields(line);
-    std::size_t i = 0;
-    std::string verdict;
-    const bool ok = static_cast<bool>(fields >> i >> verdict) &&
-                    i < restored.size() &&
-                    restored[i].state == PointState::kPending;
-    PointState p;
-    if (ok && (verdict == "0" || verdict == "1")) {
-      p.state = PointState::kDone;
-      p.detected = verdict == "1";
-    } else if (ok && verdict == "Q") {
-      p.state = PointState::kQuarantined;
-      std::string reason;
-      if (!(fields >> p.attempts) || p.attempts < 1) {
-        log_warn("characterize: checkpoint ", path, ": row ",
-                 std::to_string(row),
-                 ": bad quarantine record; restarting from scratch");
-        return 0;
-      }
-      std::getline(fields, reason);
-      p.reason = reason.empty() ? "unknown" : reason.substr(1);
-    } else {
-      log_warn("characterize: checkpoint ", path, ": row ",
-               std::to_string(row), ": bad record \"", line,
-               "\"; restarting from scratch");
-      return 0;
-    }
-    restored[i] = std::move(p);
-    ++count;
-  }
-  points = std::move(restored);
-  return count;
-}
-
-/// Execute grid points [begin, end) of the canonical task list — the shared
-/// sweep body behind characterize() (full grid, checkpoint cadence) and
-/// characterize_range() (one distributed shard). Verdicts land in `points`
-/// at their *global* index; `after_commit_locked` (may be empty) runs under
-/// the state mutex after every commit, which is where characterize() hangs
-/// its snapshot cadence. Chaos sites key on the global grid index, so no
-/// shard layout can change an injected failure schedule.
+/// Execute the grid points of the record's range that are still pending —
+/// the sweep body behind characterize() (full grid) and
+/// characterize_range() (one distributed shard). Each verdict is committed
+/// into the record at its *global* index, and chaos sites key on that
+/// index too, so no shard layout can change an injected failure schedule.
 void sweep_tasks(const CharacterizeSpec& spec,
-                 const std::vector<GridPoint>& grid,
-                 const tech::TechnologyModel& model, std::size_t begin,
-                 std::size_t end, std::vector<PointState>& points,
-                 std::mutex& state_mutex, std::size_t& completed,
-                 const ProgressFn& progress,
-                 const std::function<void()>& after_commit_locked) {
+                 const std::vector<GridPoint>& grid, JobRecord& record,
+                 const ProgressFn& progress) {
+  require(spec.max_attempts >= 1, "characterize: max_attempts must be >= 1");
   static metrics::Counter& retries = metrics::counter("robust.retries");
+  static metrics::Counter& points =
+      metrics::counter("estimator.characterize_points");
+  const std::size_t begin = record.begin();
+  const std::size_t end = record.end();
+  points.add(static_cast<long long>(end - begin));
 
   // Solver backend: exact runs every grid point through the scalar path;
   // incremental/batched first sweep each (kind, category, vdd, period)
@@ -523,23 +417,24 @@ void sweep_tasks(const CharacterizeSpec& spec,
   // ladder (attempts >= 2). The produced verdicts — and therefore the CSV —
   // are identical in every mode. Closed-form backends report batched() =
   // false, so every mode takes the identical per-point path.
+  const tech::TechnologyModel& model = tech::model_for(spec.technology);
   const analog::SolverMode mode =
       spec.solver ? *spec.solver : analog::solver_mode_from_env();
   const std::unique_ptr<tech::SweepContext> ctx = model.make_context(spec, mode);
   const bool use_batch =
       model.batched() && mode != analog::SolverMode::Exact;
 
-  const auto point_label_of = [&](std::size_t i) {
-    return grid[i].defect_tag + " @ " + fmt_fixed(grid[i].entry.vdd, 2) +
-           " V / " + fmt_time(grid[i].entry.period);
+  // Progress lines are serialized here, so the callee needs no lock.
+  std::mutex progress_mutex;
+  const auto report = [&](std::size_t i, const char* verdict) {
+    if (!progress) return;
+    std::lock_guard<std::mutex> lock(progress_mutex);
+    progress(grid[i].defect_tag + " @ " + fmt_fixed(grid[i].entry.vdd, 2) +
+             " V / " + fmt_time(grid[i].entry.period) + verdict);
   };
-
-  const auto commit_locked = [&](std::size_t i, PointState state,
-                                 const std::string& progress_line) {
-    points[i] = std::move(state);
-    ++completed;
-    if (progress) progress(progress_line);
-    if (after_commit_locked) after_commit_locked();
+  const auto commit = [&](std::size_t i, bool detected) {
+    record.commit(i, detected ? 1 : 0);
+    report(i, detected ? " -> DETECTED" : " -> escape");
   };
 
   /// Scalar attempt ladder for point i, starting at `start_attempt` with
@@ -548,18 +443,10 @@ void sweep_tasks(const CharacterizeSpec& spec,
   /// rescue_level k-1, exactly as before batching existed.
   const auto run_point = [&](std::size_t i, int start_attempt,
                              std::string reason) {
-    const std::string point_label = point_label_of(i);
     for (int attempt = start_attempt; attempt <= spec.max_attempts; ++attempt) {
       try {
         chaos::maybe_fail("characterize.point", i, attempt);
-        PointState state;
-        state.state = PointState::kDone;
-        state.detected = ctx->simulate_point(i, attempt - 1);
-        state.attempts = attempt;
-        const std::string line =
-            point_label + (state.detected ? " -> DETECTED" : " -> escape");
-        std::lock_guard<std::mutex> lock(state_mutex);
-        commit_locked(i, std::move(state), line);
+        commit(i, ctx->simulate_point(i, attempt - 1));
         return;
       } catch (const analog::SolverError& e) {
         reason = std::string(analog::solver_failure_name(e.failure())) + ": " +
@@ -569,20 +456,8 @@ void sweep_tasks(const CharacterizeSpec& spec,
       }
       if (attempt < spec.max_attempts) retries.add(1);
     }
-    PointState state;
-    state.state = PointState::kQuarantined;
-    state.attempts = spec.max_attempts;
-    state.reason = reason;
-    std::lock_guard<std::mutex> lock(state_mutex);
-    commit_locked(i, std::move(state), point_label + " -> QUARANTINED");
-  };
-
-  const auto body = [&](std::size_t i) {
-    {
-      std::lock_guard<std::mutex> lock(state_mutex);
-      if (points[i].state != PointState::kPending) return;  // restored
-    }
-    run_point(i, 1, "");
+    record.quarantine(i, spec.max_attempts, std::move(reason));
+    report(i, " -> QUARANTINED");
   };
 
   // Batched fan-out: one work item per (kind, category, vdd, period) cell,
@@ -592,42 +467,28 @@ void sweep_tasks(const CharacterizeSpec& spec,
   // thread count (and identical to the exact mode's). A shard boundary that
   // splits a cell's axis across two ranges merely shrinks the lockstep
   // batch — the batched kernel is verdict-identical at any lane subset.
-  struct BatchGroup {
-    std::vector<std::size_t> task_indices;
-  };
-  std::vector<BatchGroup> groups;
+  std::vector<std::vector<std::size_t>> groups;
   if (use_batch) {
     std::map<std::tuple<int, int, double, double>, std::size_t> group_of;
     for (std::size_t i = begin; i < end; ++i) {
       const DbEntry& e = grid[i].entry;
       const auto key = std::make_tuple(static_cast<int>(e.kind), e.category,
                                        e.vdd, e.period);
-      const auto it = group_of.find(key);
-      if (it == group_of.end()) {
-        group_of.emplace(key, groups.size());
-        groups.push_back(BatchGroup{{i}});
-      } else {
-        groups[it->second].task_indices.push_back(i);
-      }
+      const auto [it, added] = group_of.emplace(key, groups.size());
+      if (added) groups.emplace_back();
+      groups[it->second].push_back(i);
     }
   }
 
   const auto group_body = [&](std::size_t g) {
-    // Lanes still pending; a resumed run already has verdicts for the rest.
-    std::vector<std::size_t> pending;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex);
-      for (const std::size_t i : groups[g].task_indices)
-        if (points[i].state == PointState::kPending) pending.push_back(i);
-    }
-    if (pending.empty()) return;
-
-    // Attempt-1 chaos hook per lane, exactly like the scalar path: a lane
-    // the chaos harness fails here skips the batch and goes straight to its
-    // attempt-2 rescue, preserving the per-point failure schedule.
+    // Attempt-1 chaos hook per pending lane (a resumed run already has
+    // verdicts for the rest), exactly like the scalar path: a lane the chaos
+    // harness fails here skips the batch and goes straight to its attempt-2
+    // rescue, preserving the per-point failure schedule.
     std::vector<std::size_t> lanes;
     std::vector<std::pair<std::size_t, std::string>> failed;
-    for (const std::size_t i : pending) {
+    for (const std::size_t i : groups[g]) {
+      if (record.done(i)) continue;
       try {
         chaos::maybe_fail("characterize.point", i, 1);
         lanes.push_back(i);
@@ -639,20 +500,10 @@ void sweep_tasks(const CharacterizeSpec& spec,
     if (!lanes.empty()) {
       const std::vector<tech::LaneResult> runs = ctx->simulate_batch(lanes);
       for (std::size_t k = 0; k < lanes.size(); ++k) {
-        const std::size_t i = lanes[k];
-        if (!runs[k].ok) {
-          failed.emplace_back(i, runs[k].error);
-          continue;
-        }
-        PointState state;
-        state.state = PointState::kDone;
-        state.detected = runs[k].detected;
-        state.attempts = 1;
-        const std::string line = point_label_of(i) + (state.detected
-                                                          ? " -> DETECTED"
-                                                          : " -> escape");
-        std::lock_guard<std::mutex> lock(state_mutex);
-        commit_locked(i, std::move(state), line);
+        if (runs[k].ok)
+          commit(lanes[k], runs[k].detected);
+        else
+          failed.emplace_back(lanes[k], runs[k].error);
       }
     }
 
@@ -669,8 +520,11 @@ void sweep_tasks(const CharacterizeSpec& spec,
     parallel_for(groups.size(), group_body, spec.threads, spec.cancel);
   } else {
     parallel_for(
-        end - begin, [&](std::size_t k) { body(begin + k); }, spec.threads,
-        spec.cancel);
+        end - begin,
+        [&](std::size_t k) {
+          if (!record.done(begin + k)) run_point(begin + k, 1, "");
+        },
+        spec.threads, spec.cancel);
   }
 }
 
@@ -679,105 +533,44 @@ void sweep_tasks(const CharacterizeSpec& spec,
 DetectabilityDb characterize(const CharacterizeSpec& spec,
                              const ProgressFn& progress) {
   trace::Span span("estimator.characterize");
-  require(spec.max_attempts >= 1, "characterize: max_attempts must be >= 1");
-  const tech::TechnologyModel& model = tech::model_for(spec.technology);
-  const std::vector<GridPoint> tasks = model.build_grid(spec);
-  {
-    static metrics::Counter& points =
-        metrics::counter("estimator.characterize_points");
-    points.add(static_cast<long long>(tasks.size()));
-  }
-  static metrics::Counter& checkpoints_written =
-      metrics::counter("robust.checkpoints_written");
-  static metrics::Counter& checkpoints_resumed =
-      metrics::counter("robust.checkpoints_resumed");
-
-  const std::string fingerprint = grid_fingerprint(spec, tasks);
-  const std::string ckpt_path =
-      spec.checkpoint_path.empty()
-          ? checkpoint::default_path("characterize-" + fingerprint)
-          : spec.checkpoint_path;
-  const long interval = spec.checkpoint_interval > 0
-                            ? spec.checkpoint_interval
-                            : checkpoint::default_interval(32);
-
+  const std::vector<GridPoint> tasks = characterize_grid(spec);
   // Every grid point is an independent transient simulation; fan them out.
-  // Results are indexed by task, so completion order never matters; the
-  // state mutex guards the slots, the snapshot cadence and the serialized
-  // progress callback.
-  std::vector<PointState> points(tasks.size());
-  std::mutex state_mutex;
-  std::size_t completed = 0;
+  // Verdicts land in the record by task index, so completion order never
+  // matters.
+  JobRecord record(kCharacterizeJob, 0, tasks.size());
+  record.attach_checkpoint(spec.checkpoint_path, spec.checkpoint_interval, 32,
+                           [&] { return grid_fingerprint(spec, tasks); });
+  record.run([&] { sweep_tasks(spec, tasks, record, progress); });
+  return assemble_db(spec, tasks, record);
+}
 
-  if (!ckpt_path.empty()) {
-    if (const auto payload = checkpoint::load(ckpt_path)) {
-      const std::size_t restored =
-          restore_points(ckpt_path, *payload, fingerprint, points);
-      if (restored > 0) {
-        checkpoints_resumed.add(1);
-        log_info("characterize: resumed ", restored, "/", tasks.size(),
-                 " grid points from ", ckpt_path);
-      }
-    }
-  }
-
-  const auto snapshot_locked = [&] {
-    if (ckpt_path.empty()) return;
-    checkpoint::save(ckpt_path, serialize_points(fingerprint, points));
-    checkpoints_written.add(1);
-    // Simulated-crash hook: death tests kill the run right after a snapshot
-    // lands, then assert a resumed run completes byte-identically.
-    chaos::crash_point("characterize.checkpoint");
-  };
-
-  const auto after_commit_locked = [&] {
-    if (interval > 0 && completed % static_cast<std::size_t>(interval) == 0)
-      snapshot_locked();
-  };
-
-  try {
-    sweep_tasks(spec, tasks, model, 0, tasks.size(), points, state_mutex,
-                completed, progress, after_commit_locked);
-  } catch (const CancelledError&) {
-    // Cooperative shutdown (SIGINT or an explicit token): flush a final
-    // snapshot so the run resumes exactly where it stopped, then unwind.
-    std::lock_guard<std::mutex> lock(state_mutex);
-    snapshot_locked();
-    log_warn("characterize: cancelled after ", completed, " grid points; ",
-             ckpt_path.empty() ? "no checkpoint configured"
-                               : "checkpoint flushed to " + ckpt_path);
-    throw;
-  }
-
+DetectabilityDb assemble_db(const CharacterizeSpec& spec,
+                            const std::vector<GridPoint>& grid,
+                            const JobRecord& record) {
   DetectabilityDb db;
   db.set_fingerprint(spec_fingerprint(spec));
   db.set_technology(spec.technology);
   static metrics::Counter& quarantined =
       metrics::counter("robust.quarantined_points");
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const PointState& p = points[i];
-    if (p.state == PointState::kDone) {
-      DbEntry e = tasks[i].entry;
-      e.detected = p.detected;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    require(record.done(i), "assemble_db: grid point " + std::to_string(i) +
+                                " was never resolved");
+    const std::optional<Quarantine> failure = record.quarantine(i);
+    if (!failure) {
+      DbEntry e = grid[i].entry;
+      e.detected = record.code(i) == 1;
       db.add(e);
       continue;
     }
-    QuarantineEntry q;
-    q.defect_tag = tasks[i].defect_tag;
-    q.kind = tasks[i].entry.kind;
-    q.category = tasks[i].entry.category;
-    q.resistance = tasks[i].entry.resistance;
-    q.vbd = tasks[i].entry.vbd;
-    q.vdd = tasks[i].entry.vdd;
-    q.period = tasks[i].entry.period;
-    q.reason = p.reason;
-    q.attempts = p.attempts;
+    const DbEntry& e = grid[i].entry;
+    QuarantineEntry q{grid[i].defect_tag, e.kind, e.category, e.resistance,
+                      e.vbd, e.vdd, e.period, failure->reason,
+                      failure->attempts};
     quarantined.add(1);
     metrics::note("robust.quarantine: " + q.describe());
     log_warn("characterize: quarantined ", q.describe());
     db.add_quarantine(std::move(q));
   }
-  if (!ckpt_path.empty()) checkpoint::remove(ckpt_path);
   return db;
 }
 
@@ -789,35 +582,19 @@ std::vector<PointVerdict> characterize_range(const CharacterizeSpec& spec,
                                              std::size_t begin, std::size_t end,
                                              const ProgressFn& progress) {
   trace::Span span("estimator.characterize_range");
-  require(spec.max_attempts >= 1,
-          "characterize_range: max_attempts must be >= 1");
-  const tech::TechnologyModel& model = tech::model_for(spec.technology);
-  const std::vector<GridPoint> tasks = model.build_grid(spec);
+  const std::vector<GridPoint> tasks = characterize_grid(spec);
   require(begin <= end && end <= tasks.size(),
           "characterize_range: shard [" + std::to_string(begin) + ", " +
               std::to_string(end) + ") out of bounds for a grid of " +
               std::to_string(tasks.size()) + " points");
-  {
-    static metrics::Counter& points_counter =
-        metrics::counter("estimator.characterize_points");
-    points_counter.add(static_cast<long long>(end - begin));
-  }
-  std::vector<PointState> points(tasks.size());
-  std::mutex state_mutex;
-  std::size_t completed = 0;
-  sweep_tasks(spec, tasks, model, begin, end, points, state_mutex, completed,
-              progress, nullptr);
+  JobRecord record(kCharacterizeJob, begin, end);
+  sweep_tasks(spec, tasks, record, progress);
   std::vector<PointVerdict> verdicts;
-  verdicts.reserve(end - begin);
   for (std::size_t i = begin; i < end; ++i) {
-    const PointState& p = points[i];
-    PointVerdict v;
-    v.index = i;
-    v.quarantined = p.state == PointState::kQuarantined;
-    v.detected = p.detected;
-    v.attempts = p.attempts;
-    v.reason = p.reason;
-    verdicts.push_back(std::move(v));
+    const std::optional<Quarantine> failure = record.quarantine(i);
+    verdicts.push_back({i, failure.has_value(), record.code(i) == 1,
+                        failure ? failure->attempts : 0,
+                        failure ? failure->reason : ""});
   }
   return verdicts;
 }

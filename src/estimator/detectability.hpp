@@ -8,6 +8,7 @@
 // expensive IFA + analogue flow.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -25,8 +26,13 @@
 #include "tech/technology.hpp"
 #include "tester/ate.hpp"
 #include "util/cancel.hpp"
+#include "util/job_record.hpp"
 
 namespace memstress::estimator {
+
+/// The characterization's JobRecord kind: one verdict per grid point,
+/// 0 = escape, 1 = detected.
+inline constexpr JobKind kCharacterizeJob{"characterize", "grid points", 1};
 
 struct DbEntry {
   defects::DefectKind kind = defects::DefectKind::Bridge;
@@ -60,14 +66,6 @@ struct QuarantineEntry {
 
 class DetectabilityDb {
  public:
-  DetectabilityDb() = default;
-  // The lazily built lookup index never travels with a copy or move; it is
-  // rebuilt on demand against the destination's entry list.
-  DetectabilityDb(const DetectabilityDb& other);
-  DetectabilityDb& operator=(const DetectabilityDb& other);
-  DetectabilityDb(DetectabilityDb&& other) noexcept;
-  DetectabilityDb& operator=(DetectabilityDb&& other) noexcept;
-
   void add(DbEntry entry);
   std::size_t size() const { return entries_.size(); }
   const std::vector<DbEntry>& entries() const { return entries_; }
@@ -144,14 +142,30 @@ class DetectabilityDb {
   };
   using Index = std::map<std::pair<int, int>, Bucket>;
 
-  std::shared_ptr<const Index> index() const;
+  /// The lazily built lookup index. It never travels with a copy or move —
+  /// the destination rebuilds it against its own entries on demand — and
+  /// once built it is read without the mutex, so a lookup takes no lock.
+  struct LazyIndex {
+    LazyIndex() = default;
+    LazyIndex(const LazyIndex&) noexcept {}
+    LazyIndex& operator=(const LazyIndex&) noexcept {
+      reset();
+      return *this;
+    }
+    void reset() noexcept;
+
+    std::mutex mutex;  ///< guards building `built`
+    std::unique_ptr<const Index> built;
+    std::atomic<const Index*> ready{nullptr};  ///< built.get() once built
+  };
+
+  const Index& index() const;
 
   std::vector<DbEntry> entries_;
   std::vector<QuarantineEntry> quarantine_;
   std::string fingerprint_;
   tech::Technology technology_ = tech::Technology::Sram6T;
-  mutable std::mutex index_mutex_;
-  mutable std::shared_ptr<const Index> index_;  ///< null until first lookup
+  mutable LazyIndex index_;
 };
 
 /// Grid over which to characterize. The defaults are the paper's corners:
@@ -264,9 +278,19 @@ struct PointVerdict {
   std::size_t index = 0;  ///< global grid index (canonical order)
   bool quarantined = false;
   bool detected = false;  ///< meaningful only when !quarantined
-  int attempts = 0;
+  int attempts = 0;       ///< simulation attempts when quarantined
   std::string reason;  ///< last failure message when quarantined
 };
+
+/// The database a finished characterization record describes, in canonical
+/// grid order: every resolved point becomes an entry, every quarantined one
+/// a QuarantineEntry (counted in robust.quarantined_points and noted). The
+/// single-node characterize() and the distributed Coordinator both end
+/// here, which is what keeps their CSVs byte-identical. Throws Error when a
+/// grid point is still pending.
+DetectabilityDb assemble_db(const CharacterizeSpec& spec,
+                            const std::vector<GridPoint>& grid,
+                            const JobRecord& record);
 
 /// Characterize only grid points [begin, end) of the canonical grid — the
 /// worker half of the distributed sweep. Executes exactly the same batched

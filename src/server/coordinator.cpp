@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -40,28 +39,32 @@ bool fatal_error_code(const std::string& code) {
 // writer wins, so duplicate (hedged) completions are dropped exactly once.
 
 struct Coordinator::Engine {
-  using BoundsFn = std::function<std::pair<std::size_t, std::size_t>(
-      std::size_t)>;
-  using ExecuteFn = std::function<Json(Client&, std::size_t)>;
-  /// Runs under the engine mutex; throws Error on a malformed result (the
+  /// Runs under the engine mutex with the shard's [begin, end) and a result
+  /// whose echoed bounds match; throws Error on a malformed result (the
   /// attempt is then treated as failed and the shard retried).
-  using CommitFn = std::function<void(std::size_t, const Json&)>;
+  using CommitFn = std::function<void(std::size_t, std::size_t, const Json&)>;
 
+  /// Cuts [0, total) into shards of `shard_size`; each is sent as a `type`
+  /// request carrying `params` plus its "begin"/"end".
   Engine(const CoordinatorConfig& config_in, CoordinatorStats& stats_in,
-         std::size_t shard_count_in, BoundsFn bounds_in, ExecuteFn execute_in,
-         CommitFn commit_in)
+         std::size_t total_in, std::size_t shard_size_in, std::string type_in,
+         Json params_in, CommitFn commit_in)
       : config(config_in),
         stats(stats_in),
-        shard_count(shard_count_in),
-        bounds_of(std::move(bounds_in)),
-        execute(std::move(execute_in)),
+        total(total_in),
+        shard_size(shard_size_in),
+        shard_count((total_in + shard_size_in - 1) / shard_size_in),
+        type(std::move(type_in)),
+        params(std::move(params_in)),
         commit_result(std::move(commit_in)) {}
 
   const CoordinatorConfig& config;
   CoordinatorStats& stats;
+  const std::size_t total;
+  const std::size_t shard_size;
   const std::size_t shard_count;
-  const BoundsFn bounds_of;
-  const ExecuteFn execute;
+  const std::string type;
+  const Json params;
   const CommitFn commit_result;
 
   std::mutex mutex;
@@ -96,6 +99,11 @@ struct Coordinator::Engine {
       if (last_error[i].empty()) last_error[i] = "no live workers remain";
       mark_unresolved_locked(i);
     }
+  }
+
+  std::pair<std::size_t, std::size_t> bounds_of(std::size_t shard) const {
+    const std::size_t begin = shard * shard_size;
+    return {begin, std::min(total, begin + shard_size)};
   }
 
   void mark_unresolved_locked(std::size_t i) {
@@ -216,8 +224,12 @@ struct Coordinator::Engine {
       bool fatal = false;
       std::string error;
       Json result;
+      const auto [begin, end] = bounds_of(pick);
       try {
-        result = execute(client, pick);
+        Json request = params;
+        request.set("begin", Json(begin));
+        request.set("end", Json(end));
+        result = client.request(type, request);
         success = true;
       } catch (const ConnectionLost& e) {
         lost = true;
@@ -239,7 +251,12 @@ struct Coordinator::Engine {
             deduped.add(1);
           } else if (phase[pick] == ShardPhase::kInFlight) {
             try {
-              commit_result(pick, result);
+              require(result.int_or("begin", -1) ==
+                              static_cast<long long>(begin) &&
+                          result.int_or("end", -1) ==
+                              static_cast<long long>(end),
+                      "coordinator: shard result bounds mismatch");
+              commit_result(begin, end, result);
               phase[pick] = ShardPhase::kDone;
               ++terminal;
               work_ready.notify_all();
@@ -348,38 +365,16 @@ estimator::DetectabilityDb Coordinator::characterize(
 
   estimator::CharacterizeSpec worker_spec = spec;
   worker_spec.threads = config_.worker_threads;
-  const Json spec_json = characterize_spec_to_json(worker_spec);
   const std::vector<estimator::GridPoint> grid =
       estimator::characterize_grid(spec);
 
-  const std::size_t shard_size =
-      static_cast<std::size_t>(config_.characterize_shard_points);
-  const std::size_t shard_count =
-      grid.empty() ? 0 : (grid.size() + shard_size - 1) / shard_size;
-  const auto bounds_of = [&](std::size_t s) {
-    const std::size_t begin = s * shard_size;
-    return std::make_pair(begin, std::min(grid.size(), begin + shard_size));
-  };
+  // Verdicts land in the record by canonical grid index. A shard result is
+  // validated whole before its first slot is written, so a malformed result
+  // (retried) or an abandoned shard never leaves a partial commit behind.
+  JobRecord record(estimator::kCharacterizeJob, 0, grid.size());
 
-  // Per-point verdicts, committed positionally: -1 until a shard resolves
-  // the point, then 0 escape / 1 detected / 2 quarantined-on-worker.
-  std::vector<signed char> codes(grid.size(), -1);
-  std::vector<std::string> reasons(grid.size());
-  std::vector<int> point_attempts(grid.size(), 0);
-
-  const auto execute = [&](Client& client, std::size_t s) {
-    const auto [begin, end] = bounds_of(s);
-    Json params = Json::object();
-    params.set("spec", spec_json);
-    params.set("begin", Json(begin));
-    params.set("end", Json(end));
-    return client.request("characterize_range", params);
-  };
-  const auto commit = [&](std::size_t s, const Json& result) {
-    const auto [begin, end] = bounds_of(s);
-    require(result.int_or("begin", -1) == static_cast<long long>(begin) &&
-                result.int_or("end", -1) == static_cast<long long>(end),
-            "coordinator: shard result bounds mismatch");
+  const auto commit = [&](std::size_t begin, std::size_t end,
+                          const Json& result) {
     require(result.int_or("grid", -1) == static_cast<long long>(grid.size()),
             "coordinator: worker enumerated a different grid (" +
                 std::to_string(result.int_or("grid", -1)) + " points vs " +
@@ -388,69 +383,51 @@ estimator::DetectabilityDb Coordinator::characterize(
     require(verdicts.size() == end - begin,
             "coordinator: shard returned " + std::to_string(verdicts.size()) +
                 " verdicts for " + std::to_string(end - begin) + " points");
-    for (std::size_t k = 0; k < verdicts.size(); ++k) {
-      const double code = verdicts[k].as_number();
+    // Wire codes: 0 escape / 1 detected / 2 quarantined on the worker.
+    std::vector<int> codes;
+    for (const Json& verdict : verdicts) {
+      const double code = verdict.as_number();
       require(code == 0.0 || code == 1.0 || code == 2.0,
               "coordinator: bad verdict code");
-      codes[begin + k] = static_cast<signed char>(code);
+      codes.push_back(static_cast<int>(code));
     }
+    std::vector<Quarantine> failures(end - begin);
     for (const Json& q : result.at("quarantine").items()) {
       const double index = q.at("index").as_number();
       require(index >= static_cast<double>(begin) &&
                   index < static_cast<double>(end),
               "coordinator: quarantine index outside its shard");
       const std::size_t i = static_cast<std::size_t>(index);
-      require(codes[i] == 2, "coordinator: quarantine entry for a point "
-                             "whose verdict is not quarantined");
-      reasons[i] = q.at("reason").as_string();
-      point_attempts[i] = static_cast<int>(q.int_or("attempts", 0));
+      require(codes[i - begin] == 2, "coordinator: quarantine entry for a "
+                                     "point whose verdict is not quarantined");
+      failures[i - begin] = {static_cast<int>(q.int_or("attempts", 0)),
+                             q.at("reason").as_string()};
+    }
+    for (std::size_t k = 0; k < codes.size(); ++k) {
+      if (codes[k] == 2)
+        record.quarantine(begin + k, failures[k].attempts,
+                          std::move(failures[k].reason));
+      else
+        record.commit(begin + k, codes[k]);
     }
   };
 
-  Engine engine(config_, stats_, shard_count, bounds_of, execute, commit);
+  Json params = Json::object();
+  params.set("spec", characterize_spec_to_json(worker_spec));
+  Engine engine(config_, stats_, grid.size(),
+                static_cast<std::size_t>(config_.characterize_shard_points),
+                "characterize_range", std::move(params), commit);
   engine.run();
 
-  // Canonical-order merge: identical to the tail of estimator::
-  // characterize(), with unresolved shards joining the quarantine list.
-  std::vector<std::string> shard_failure(shard_count);
+  // Unresolved shards join the quarantine list; the merge is then exactly
+  // the tail of estimator::characterize().
   for (const UnresolvedShard& u : stats_.unresolved)
-    shard_failure[u.shard] =
-        u.reason.empty() ? "shard never completed" : u.reason;
-
-  estimator::DetectabilityDb db;
-  db.set_fingerprint(estimator::spec_fingerprint(spec));
-  db.set_technology(spec.technology);
-  static metrics::Counter& quarantined =
-      metrics::counter("robust.quarantined_points");
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (codes[i] == 0 || codes[i] == 1) {
-      estimator::DbEntry entry = grid[i].entry;
-      entry.detected = codes[i] == 1;
-      db.add(entry);
-      continue;
-    }
-    estimator::QuarantineEntry q;
-    q.defect_tag = grid[i].defect_tag;
-    q.kind = grid[i].entry.kind;
-    q.category = grid[i].entry.category;
-    q.resistance = grid[i].entry.resistance;
-    q.vbd = grid[i].entry.vbd;
-    q.vdd = grid[i].entry.vdd;
-    q.period = grid[i].entry.period;
-    if (codes[i] == 2) {
-      q.reason = reasons[i];
-      q.attempts = point_attempts[i];
-    } else {
-      const std::size_t s = i / shard_size;
-      q.reason = "unresolved shard: " + shard_failure[s];
-      q.attempts = 0;
-    }
-    quarantined.add(1);
-    metrics::note("robust.quarantine: " + q.describe());
-    log_warn("coordinator: quarantined ", q.describe());
-    db.add_quarantine(std::move(q));
-  }
-  return db;
+    for (std::size_t i = u.begin; i < u.end; ++i)
+      record.quarantine(i, 0,
+                        "unresolved shard: " +
+                            (u.reason.empty() ? "shard never completed"
+                                              : u.reason));
+  return estimator::assemble_db(spec, grid, record);
 }
 
 study::StudyResult Coordinator::run_study(const study::StudyConfig& config,
@@ -462,54 +439,40 @@ study::StudyResult Coordinator::run_study(const study::StudyConfig& config,
 
   study::StudyConfig worker_config = config;
   worker_config.threads = config_.worker_threads;
-  const Json config_json = study_config_to_json(worker_config);
-  char db_crc[16];
-  std::snprintf(db_crc, sizeof db_crc, "%08x", checkpoint::crc32(db.to_csv()));
 
+  // Outcome masks land in the record by device index; a device an
+  // unresolved shard left behind stays pending, and reduce_study excludes
+  // it from every tally.
   const std::size_t devices = static_cast<std::size_t>(config.device_count);
-  const std::size_t shard_size =
-      static_cast<std::size_t>(config_.study_shard_devices);
-  const std::size_t shard_count = (devices + shard_size - 1) / shard_size;
-  const auto bounds_of = [&](std::size_t s) {
-    const std::size_t begin = s * shard_size;
-    return std::make_pair(begin, std::min(devices, begin + shard_size));
-  };
+  JobRecord record(study::kStudyJob, 0, devices);
 
-  // -1 marks a device an unresolved shard left behind; reduce_study
-  // excludes it from every tally.
-  std::vector<int> masks(devices, -1);
-
-  const auto execute = [&](Client& client, std::size_t s) {
-    const auto [begin, end] = bounds_of(s);
-    Json params = Json::object();
-    params.set("config", config_json);
-    params.set("begin", Json(begin));
-    params.set("end", Json(end));
-    params.set("db_crc", Json(std::string(db_crc)));
-    return client.request("study_shard", params);
-  };
-  const auto commit = [&](std::size_t s, const Json& result) {
-    const auto [begin, end] = bounds_of(s);
-    require(result.int_or("begin", -1) == static_cast<long long>(begin) &&
-                result.int_or("end", -1) == static_cast<long long>(end),
-            "coordinator: shard result bounds mismatch");
+  const auto commit = [&](std::size_t begin, std::size_t end,
+                          const Json& result) {
     const std::vector<Json>& items = result.at("masks").items();
     require(items.size() == end - begin,
             "coordinator: shard returned " + std::to_string(items.size()) +
                 " masks for " + std::to_string(end - begin) + " devices");
-    for (std::size_t k = 0; k < items.size(); ++k) {
-      const double mask = items[k].as_number();
-      require(mask >= 0.0 && mask <= 127.0 &&
+    std::vector<int> masks;
+    for (const Json& item : items) {
+      const double mask = item.as_number();
+      require(mask >= 0.0 && mask <= study::kStudyJob.max_code &&
                   mask == static_cast<double>(static_cast<int>(mask)),
               "coordinator: bad outcome mask");
-      masks[begin + k] = static_cast<int>(mask);
+      masks.push_back(static_cast<int>(mask));
     }
+    for (std::size_t k = 0; k < masks.size(); ++k)
+      record.commit(begin + k, masks[k]);
   };
 
-  Engine engine(config_, stats_, shard_count, bounds_of, execute, commit);
+  Json params = Json::object();
+  params.set("config", study_config_to_json(worker_config));
+  params.set("db_crc", Json(checkpoint::crc32_hex(db.to_csv())));
+  Engine engine(config_, stats_, devices,
+                static_cast<std::size_t>(config_.study_shard_devices),
+                "study_shard", std::move(params), commit);
   engine.run();
 
-  return study::reduce_study(config, masks);
+  return study::reduce_study(config, record.codes());
 }
 
 }  // namespace memstress::server

@@ -1,7 +1,6 @@
 #include "server/service.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <thread>
 
 #include "estimator/dpm.hpp"
@@ -23,6 +22,7 @@ MemstressService::MemstressService(
     defects::DefectSampler sampler, ServiceInfo info,
     defects::MtjFabModel mtj_fab)
     : db_(std::move(db)),
+      db_crc_(checkpoint::crc32_hex(db_->to_csv())),
       estimator_(db_, std::move(population), fab, mtj_fab),
       sampler_(std::move(sampler)),
       info_(info),
@@ -353,15 +353,9 @@ Json MemstressService::study_shard(const Json& params,
   study::StudyConfig config = study_config_from_json(params.at("config"));
   config.cancel = context.cancel;
   const std::string expected = params.string_or("db_crc", "");
-  if (!expected.empty()) {
-    char actual[16];
-    std::snprintf(actual, sizeof actual, "%08x",
-                  checkpoint::crc32(db_->to_csv()));
-    if (expected != actual)
-      throw ProtocolError("database mismatch: this worker serves db_crc " +
-                          std::string(actual) + ", coordinator expected " +
-                          expected);
-  }
+  if (!expected.empty() && expected != db_crc_)
+    throw ProtocolError("database mismatch: this worker serves db_crc " +
+                        db_crc_ + ", coordinator expected " + expected);
   const auto [begin, end] = shard_bounds(
       params, static_cast<std::size_t>(config.device_count), "devices");
   const std::vector<int> masks =

@@ -126,6 +126,9 @@ class MemstressService {
   void require_technology(const Json& params) const;
 
   std::shared_ptr<const estimator::DetectabilityDb> db_;
+  /// CRC32 of db_'s CSV, the study_shard guard; the database is immutable,
+  /// so it is computed once.
+  std::string db_crc_;
   estimator::FaultCoverageEstimator estimator_;
   defects::DefectSampler sampler_;
   ServiceInfo info_;

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <sstream>
 
-#include "util/chaos.hpp"
 #include "util/checkpoint.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/trace.hpp"
@@ -84,50 +81,26 @@ DeviceOutcome evaluate_device(const std::vector<Defect>& defect_list,
 
 namespace {
 
-/// Per-device flags recorded by the parallel shards; reduced serially in
-/// device order afterwards so the accounting below is scheduling-free.
-struct DeviceRecord {
-  bool defective = false;
-  bool standard_fail = false;
-  bool escape = false;
-  bool vlv_fail = false;
-  bool vmax_fail = false;
-  bool atspeed_fail = false;
-  bool interesting = false;
+/// Outcome-mask bits: a device's one-byte record code, its checkpoint row
+/// and its study_shard wire value.
+enum : int {
+  kDefective = 1,
+  kStandardFail = 2,
+  kEscape = 4,
+  kVlvFail = 8,
+  kVmaxFail = 16,
+  kAtspeedFail = 32,
+  kInteresting = 64,
 };
 
-/// Bit-pack a record for the checkpoint payload. A completed non-defective
-/// device packs to 0 — still written, since line presence (not the mask) is
-/// what marks a device as done.
-int pack_record(const DeviceRecord& r) {
-  return (r.defective ? 1 : 0) | (r.standard_fail ? 2 : 0) |
-         (r.escape ? 4 : 0) | (r.vlv_fail ? 8 : 0) | (r.vmax_fail ? 16 : 0) |
-         (r.atspeed_fail ? 32 : 0) | (r.interesting ? 64 : 0);
-}
-
-DeviceRecord unpack_record(int mask) {
-  DeviceRecord r;
-  r.defective = (mask & 1) != 0;
-  r.standard_fail = (mask & 2) != 0;
-  r.escape = (mask & 4) != 0;
-  r.vlv_fail = (mask & 8) != 0;
-  r.vmax_fail = (mask & 16) != 0;
-  r.atspeed_fail = (mask & 32) != 0;
-  r.interesting = (mask & 64) != 0;
-  return r;
-}
-
-/// Draw and evaluate one device from its child stream — the shared body
-/// behind run_study and run_study_range. Counter updates are order-free
-/// atomic sums, identical at any thread count or shard layout.
-DeviceRecord evaluate_one(std::uint64_t seed, double lambda,
-                          const StudyConfig& config,
-                          const estimator::DetectabilityDb& db,
-                          const defects::DefectSampler& sampler) {
-  DeviceRecord record;
+/// Draw and evaluate one device from its child stream. Counter updates are
+/// order-free atomic sums, identical at any thread count or shard layout.
+int evaluate_one(std::uint64_t seed, double lambda, const StudyConfig& config,
+                 const estimator::DetectabilityDb& db,
+                 const defects::DefectSampler& sampler) {
   Rng rng(seed);
   const unsigned n = rng.poisson(lambda);
-  if (n == 0) return record;
+  if (n == 0) return 0;
   static metrics::Counter& defects_counter = metrics::counter("study.defects");
   static metrics::Counter& defective_counter =
       metrics::counter("study.defective_devices");
@@ -136,15 +109,11 @@ DeviceRecord evaluate_one(std::uint64_t seed, double lambda,
   std::vector<Defect> defect_list;
   defect_list.reserve(n);
   for (unsigned i = 0; i < n; ++i) defect_list.push_back(sampler.sample(rng));
-  const DeviceOutcome outcome = evaluate_device(defect_list, config, db);
-  record.defective = true;
-  record.standard_fail = outcome.standard_fail;
-  record.escape = outcome.escape;
-  record.vlv_fail = outcome.vlv_fail;
-  record.vmax_fail = outcome.vmax_fail;
-  record.atspeed_fail = outcome.atspeed_fail;
-  record.interesting = outcome.interesting();
-  return record;
+  const DeviceOutcome o = evaluate_device(defect_list, config, db);
+  return kDefective | (o.standard_fail ? kStandardFail : 0) |
+         (o.escape ? kEscape : 0) | (o.vlv_fail ? kVlvFail : 0) |
+         (o.vmax_fail ? kVmaxFail : 0) | (o.atspeed_fail ? kAtspeedFail : 0) |
+         (o.interesting() ? kInteresting : 0);
 }
 
 /// CRC32 over the config knobs that shape per-device outcomes plus the
@@ -159,61 +128,35 @@ std::string study_fingerprint(const StudyConfig& config,
                 config.slow_period, config.vlv_period, config.fast_period,
                 static_cast<unsigned long long>(config.seed),
                 checkpoint::crc32(db.to_csv()));
-  char hex[16];
-  std::snprintf(hex, sizeof hex, "%08x",
-                checkpoint::crc32(std::string(canon)));
-  return hex;
+  return checkpoint::crc32_hex(canon);
 }
 
-std::string serialize_records(const std::string& fingerprint,
-                              const std::vector<DeviceRecord>& records,
-                              const std::vector<char>& done) {
-  std::string payload = "study 1 " + fingerprint + " " +
-                        std::to_string(records.size()) + "\n";
-  for (std::size_t d = 0; d < records.size(); ++d) {
-    if (!done[d]) continue;
-    payload +=
-        std::to_string(d) + " " + std::to_string(pack_record(records[d])) + "\n";
+/// Evaluate the still-pending devices of the record's range. Each device
+/// owns an independent child generator (Rng::split contract: one master
+/// draw seeds one child); the master stream is drawn serially up to the
+/// range's end, so device d's stream — and therefore every count — is the
+/// same under any thread count or shard layout.
+void evaluate_range(const StudyConfig& config,
+                    const estimator::DetectabilityDb& db,
+                    const defects::DefectSampler& sampler, JobRecord& record) {
+  const std::size_t begin = record.begin();
+  {
+    static metrics::Counter& device_counter = metrics::counter("study.devices");
+    device_counter.add(static_cast<long long>(record.end() - begin));
   }
-  return payload;
-}
+  const double lambda =
+      sampler.fab().expected_defects(config.chip_area_um2());
+  Rng master(config.seed);
+  for (std::size_t d = 0; d < begin; ++d) master();
+  std::vector<std::uint64_t> seeds(record.end() - begin);
+  for (auto& seed : seeds) seed = master();
 
-std::size_t restore_records(const std::string& path,
-                            const std::string& payload,
-                            const std::string& fingerprint,
-                            std::vector<DeviceRecord>& records,
-                            std::vector<char>& done) {
-  std::istringstream in(payload);
-  std::string line;
-  if (!std::getline(in, line) ||
-      line != "study 1 " + fingerprint + " " +
-                  std::to_string(records.size())) {
-    log_warn("run_study: checkpoint ", path,
-             ": header does not match this experiment (stale or foreign "
-             "snapshot); restarting from scratch");
-    return 0;
-  }
-  std::vector<DeviceRecord> restored(records.size());
-  std::vector<char> restored_done(records.size(), 0);
-  std::size_t count = 0;
-  for (std::size_t row = 2; std::getline(in, line); ++row) {
-    std::istringstream fields(line);
-    std::size_t d = 0;
-    int mask = -1;
-    std::string trailing;
-    if (!(fields >> d >> mask) || fields >> trailing || d >= restored.size() ||
-        mask < 0 || mask > 127 || restored_done[d]) {
-      log_warn("run_study: checkpoint ", path, ": row ", row,
-               ": bad record \"", line, "\"; restarting from scratch");
-      return 0;
-    }
-    restored[d] = unpack_record(mask);
-    restored_done[d] = 1;
-    ++count;
-  }
-  records = std::move(restored);
-  done = std::move(restored_done);
-  return count;
+  const auto body = [&](std::size_t k) {
+    if (record.done(begin + k)) return;  // restored from a checkpoint
+    record.commit(begin + k,
+                  evaluate_one(seeds[k], lambda, config, db, sampler));
+  };
+  parallel_for(seeds.size(), body, config.threads, config.cancel);
 }
 
 }  // namespace
@@ -223,99 +166,12 @@ StudyResult run_study(const StudyConfig& config,
                       const defects::DefectSampler& sampler) {
   require(config.device_count > 0, "run_study: device_count must be positive");
   trace::Span span("study.run");
-  {
-    static metrics::Counter& device_counter = metrics::counter("study.devices");
-    device_counter.add(config.device_count);
-  }
-  const double lambda =
-      sampler.fab().expected_defects(config.chip_area_um2());
-  const std::size_t devices = static_cast<std::size_t>(config.device_count);
-
-  // Each device owns an independent child generator (Rng::split contract:
-  // one master draw seeds one child). The seeds are drawn serially up front,
-  // so the per-device streams — and therefore every count below — do not
-  // depend on how the device loop is scheduled across threads.
-  std::vector<std::uint64_t> seeds(devices);
-  {
-    Rng master(config.seed);
-    for (auto& seed : seeds) seed = master();
-  }
-
-  static metrics::Counter& checkpoints_written =
-      metrics::counter("robust.checkpoints_written");
-  static metrics::Counter& checkpoints_resumed =
-      metrics::counter("robust.checkpoints_resumed");
-  const std::string fingerprint = study_fingerprint(config, db);
-  const std::string ckpt_path =
-      config.checkpoint_path.empty()
-          ? checkpoint::default_path("study-" + fingerprint)
-          : config.checkpoint_path;
-  const long fallback_interval =
-      std::max<long>(1024, config.device_count / 32);
-  const long interval = config.checkpoint_interval > 0
-                            ? config.checkpoint_interval
-                            : checkpoint::default_interval(fallback_interval);
-
-  // `done` marks completed devices (line presence in the snapshot), so a
-  // resumed run skips their RNG streams entirely; the serial reduction below
-  // reads only records, which are identical either way.
-  std::vector<DeviceRecord> records(devices);
-  std::vector<char> done(devices, 0);
-  std::mutex state_mutex;
-  std::size_t completed = 0;
-
-  if (!ckpt_path.empty()) {
-    if (const auto payload = checkpoint::load(ckpt_path)) {
-      const std::size_t restored =
-          restore_records(ckpt_path, *payload, fingerprint, records, done);
-      if (restored > 0) {
-        checkpoints_resumed.add(1);
-        log_info("run_study: resumed ", restored, "/", devices,
-                 " devices from ", ckpt_path);
-      }
-    }
-  }
-
-  const auto snapshot_locked = [&] {
-    if (ckpt_path.empty()) return;
-    checkpoint::save(ckpt_path, serialize_records(fingerprint, records, done));
-    checkpoints_written.add(1);
-    chaos::crash_point("study.checkpoint");
-  };
-
-  const auto body = [&](std::size_t d) {
-    {
-      std::lock_guard<std::mutex> lock(state_mutex);
-      if (done[d]) return;  // restored from a checkpoint
-    }
-    DeviceRecord record = evaluate_one(seeds[d], lambda, config, db, sampler);
-    std::lock_guard<std::mutex> lock(state_mutex);
-    records[d] = record;
-    done[d] = 1;
-    ++completed;
-    if (interval > 0 && completed % static_cast<std::size_t>(interval) == 0)
-      snapshot_locked();
-  };
-
-  try {
-    parallel_for(devices, body, config.threads, config.cancel);
-  } catch (const CancelledError&) {
-    // Cooperative shutdown: flush a final snapshot so the run resumes
-    // exactly where it stopped, then unwind.
-    std::lock_guard<std::mutex> lock(state_mutex);
-    snapshot_locked();
-    log_warn("run_study: cancelled after ", completed, " devices; ",
-             ckpt_path.empty() ? "no checkpoint configured"
-                               : "checkpoint flushed to " + ckpt_path);
-    throw;
-  }
-  if (!ckpt_path.empty()) checkpoint::remove(ckpt_path);
-
-  std::vector<int> masks;
-  masks.reserve(records.size());
-  for (const DeviceRecord& record : records)
-    masks.push_back(pack_record(record));
-  return reduce_study(config, masks);
+  JobRecord record(kStudyJob, 0, static_cast<std::size_t>(config.device_count));
+  record.attach_checkpoint(config.checkpoint_path, config.checkpoint_interval,
+                           std::max<long>(1024, config.device_count / 32),
+                           [&] { return study_fingerprint(config, db); });
+  record.run([&] { evaluate_range(config, db, sampler, record); });
+  return reduce_study(config, record.codes());
 }
 
 std::vector<int> run_study_range(const StudyConfig& config,
@@ -330,28 +186,9 @@ std::vector<int> run_study_range(const StudyConfig& config,
               std::to_string(end) + ") out of bounds for " +
               std::to_string(devices) + " devices");
   trace::Span span("study.run_range");
-  {
-    static metrics::Counter& device_counter = metrics::counter("study.devices");
-    device_counter.add(static_cast<long long>(end - begin));
-  }
-  const double lambda =
-      sampler.fab().expected_defects(config.chip_area_um2());
-
-  // The seed schedule is always drawn for the whole population, serially,
-  // so device d's child stream is the same no matter which shard runs it.
-  std::vector<std::uint64_t> seeds(devices);
-  {
-    Rng master(config.seed);
-    for (auto& seed : seeds) seed = master();
-  }
-
-  std::vector<int> masks(end - begin, 0);
-  const auto body = [&](std::size_t k) {
-    masks[k] = pack_record(
-        evaluate_one(seeds[begin + k], lambda, config, db, sampler));
-  };
-  parallel_for(end - begin, body, config.threads, config.cancel);
-  return masks;
+  JobRecord record(kStudyJob, begin, end);
+  evaluate_range(config, db, sampler, record);
+  return record.codes();
 }
 
 StudyResult reduce_study(const StudyConfig& config,
@@ -365,29 +202,29 @@ StudyResult reduce_study(const StudyConfig& config,
   StudyResult result;
   for (const int mask : masks) {
     if (mask < 0) continue;  // unresolved device: excluded from every tally
-    require(mask <= 127, "reduce_study: bad outcome mask " +
-                             std::to_string(mask));
+    if (mask > kStudyJob.max_code)
+      throw Error("reduce_study: bad outcome mask " + std::to_string(mask));
     ++result.devices;
-    const DeviceRecord record = unpack_record(mask);
-    if (!record.defective) continue;
+    if (!(mask & kDefective)) continue;
     ++result.defective;
 
-    if (record.standard_fail) ++result.standard_fails;
-    if (record.escape) ++result.escapes;
+    const bool standard_fail = mask & kStandardFail;
+    const bool v = mask & kVlvFail;
+    const bool m = mask & kVmaxFail;
+    const bool s = mask & kAtspeedFail;
+    if (standard_fail) ++result.standard_fails;
+    if (mask & kEscape) ++result.escapes;
 
     // Escape accounting per augmentation strategy. The standard test is
     // always applied; each strategy adds one stress screen.
-    if (!record.standard_fail) {
+    if (!standard_fail) {
       ++result.escapes_standard_only;
-      if (!record.vlv_fail) ++result.escapes_with_vlv;
-      if (!record.vmax_fail) ++result.escapes_with_vmax;
-      if (!record.atspeed_fail) ++result.escapes_with_atspeed;
+      if (!v) ++result.escapes_with_vlv;
+      if (!m) ++result.escapes_with_vmax;
+      if (!s) ++result.escapes_with_atspeed;
     }
 
-    if (record.interesting) {
-      const bool v = record.vlv_fail;
-      const bool m = record.vmax_fail;
-      const bool s = record.atspeed_fail;
+    if (mask & kInteresting) {
       if (v && m && s) ++result.venn.all_three;
       else if (v && m) ++result.venn.vlv_and_vmax;
       else if (v && s) ++result.venn.vlv_and_atspeed;

@@ -14,9 +14,13 @@
 #include "defects/sampler.hpp"
 #include "estimator/detectability.hpp"
 #include "util/cancel.hpp"
+#include "util/job_record.hpp"
 #include "util/rng.hpp"
 
 namespace memstress::study {
+
+/// The study's JobRecord kind: one outcome mask (0..127) per device.
+inline constexpr JobKind kStudyJob{"study", "devices", 127};
 
 struct StudyConfig {
   long device_count = 11000;
@@ -120,11 +124,12 @@ StudyResult run_study(const StudyConfig& config,
                       const defects::DefectSampler& sampler);
 
 /// Evaluate devices [begin, end) of the population — the worker half of the
-/// distributed study. The full serial seed schedule is drawn up front
-/// (cheap), so device d's RNG child stream is identical under any shard
-/// layout and the masks match a single-node run bit for bit. Returns one
-/// packed outcome mask (0..127, the checkpoint bit layout) per device in
-/// the range. No checkpointing — the coordinator retries whole shards.
+/// distributed study and the body run_study() runs over [0, device_count).
+/// The serial seed schedule is drawn up to `end`, so device d's RNG child
+/// stream is identical under any shard layout and the masks match a
+/// single-node run bit for bit. Returns one packed outcome mask (0..127,
+/// the checkpoint code) per device in the range. No checkpointing — the
+/// coordinator retries whole shards.
 std::vector<int> run_study_range(const StudyConfig& config,
                                  const estimator::DetectabilityDb& db,
                                  const defects::DefectSampler& sampler,

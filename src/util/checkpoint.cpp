@@ -62,6 +62,12 @@ std::uint32_t crc32(const std::string& text) {
   return crc32(text.data(), text.size());
 }
 
+std::string crc32_hex(const std::string& text) {
+  char hex[16];
+  std::snprintf(hex, sizeof hex, "%08x", crc32(text));
+  return hex;
+}
+
 void write_file_atomic(const std::string& path, const std::string& contents) {
   const std::string temp = path + ".tmp." + std::to_string(::getpid());
   const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);

@@ -28,6 +28,8 @@ namespace memstress::checkpoint {
 /// Plain CRC-32 (IEEE 802.3, the zlib polynomial) of `size` bytes.
 std::uint32_t crc32(const void* data, std::size_t size);
 std::uint32_t crc32(const std::string& text);
+/// crc32(text) as 8 lowercase hex digits (fingerprints, the db_crc guard).
+std::string crc32_hex(const std::string& text);
 
 /// Atomically replace `path` with `contents` (temp file + fsync + rename).
 /// Throws Error on I/O failure; on failure the target path is untouched.
