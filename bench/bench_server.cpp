@@ -11,8 +11,9 @@
 //              (cold), then repeat them (hot) and compare cold-path vs
 //              hit-path latency; every hot response is byte-checked against
 //              its cold twin
-//   --batch    framing mode: send the same request mix one-per-frame, then
-//              as batch frames, and compare items/second
+//   --batch    framing mode: send the same request mix one-per-frame, as
+//              batch frames and as pipelined single frames, and compare
+//              items/second
 //   --connections N
 //              high-concurrency mode: N concurrent keep-alive connections
 //              driven by one epoll client loop (one request in flight per
@@ -32,6 +33,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/epoll.h>
@@ -39,6 +41,7 @@
 #include "server/client.hpp"
 #include "server/fleet.hpp"
 #include "server/loadgen.hpp"
+#include "server/protocol.hpp"
 #include "tests/server/server_test_util.hpp"
 #include "util/parallel.hpp"
 
@@ -293,8 +296,9 @@ int run_repeat(bool smoke) {
 
 // -----------------------------------------------------------------------
 // --batch: framing overhead. The same cheap request mix goes over the wire
-// once per frame, then packed into batch frames; both answer streams are
-// byte-checked (the batch one against the direct batch computation).
+// once per frame, then packed into batch frames, then as single frames
+// pipelined five at a time; every answer stream is byte-checked (the batch
+// one against the direct batch computation).
 
 int run_batch(bool smoke) {
   const int rounds = smoke ? 20 : 200;
@@ -338,6 +342,9 @@ int run_batch(bool smoke) {
   long mismatches = 0;
   double singles_s = 0.0;
   double batch_s = 0.0;
+  double pipelined_s = 0.0;
+  std::vector<std::vector<std::string>> pipelined;
+  pipelined.reserve(static_cast<std::size_t>(rounds));
   try {
     server::Client client(fixture.client_config());
     const auto singles_start = std::chrono::steady_clock::now();
@@ -351,17 +358,41 @@ int run_batch(bool smoke) {
     for (int round = 0; round < rounds; ++round)
       if (client.roundtrip(batch_line) != batch_expected) ++mismatches;
     batch_s = seconds_since(batch_start);
+
+    // The same five frames written back-to-back per round; checked after
+    // the clock stops, since checking means parsing each response's id.
+    const auto pipelined_start = std::chrono::steady_clock::now();
+    for (int round = 0; round < rounds; ++round)
+      pipelined.push_back(client.pipeline(single_lines));
+    pipelined_s = seconds_since(pipelined_start);
   } catch (const Error& e) {
     std::fprintf(stderr, "bench_server --batch: %s\n", e.what());
     ++mismatches;
   }
   fixture.server.stop();
 
+  // The reactor may answer a pipeline out of order: sort each round's
+  // responses by echoed id (single_lines carries ids 1..5 in order).
+  for (std::vector<std::string>& responses : pipelined) {
+    std::vector<std::pair<long long, std::string>> by_id;
+    for (std::string& line : responses)
+      by_id.emplace_back(server::parse_response(line).id, std::move(line));
+    std::sort(by_id.begin(), by_id.end());
+    if (by_id.size() != single_expected.size()) {
+      ++mismatches;
+      continue;
+    }
+    for (std::size_t i = 0; i < by_id.size(); ++i)
+      if (by_id[i].second != single_expected[i]) ++mismatches;
+  }
+
   const long total_items = static_cast<long>(rounds) * items_per_batch;
-  const double singles_ips =
-      singles_s > 0.0 ? static_cast<double>(total_items) / singles_s : 0.0;
-  const double batch_ips =
-      batch_s > 0.0 ? static_cast<double>(total_items) / batch_s : 0.0;
+  const auto items_per_s = [total_items](double seconds) {
+    return seconds > 0.0 ? static_cast<double>(total_items) / seconds : 0.0;
+  };
+  const double singles_ips = items_per_s(singles_s);
+  const double batch_ips = items_per_s(batch_s);
+  const double pipelined_ips = items_per_s(pipelined_s);
   const bool identical = mismatches == 0;
 
   std::printf("\n  items per mode ............................ %ld\n",
@@ -370,17 +401,22 @@ int run_batch(bool smoke) {
               singles_ips);
   std::printf("  batch frames (%d items each) .............. %.0f items/s\n",
               items_per_batch, batch_ips);
+  std::printf("  pipelined singles (%d frames each) ........ %.0f items/s\n",
+              items_per_batch, pipelined_ips);
   std::printf("  batch / singles speedup ................... %.2fx\n",
               singles_ips > 0.0 ? batch_ips / singles_ips : 0.0);
+  std::printf("  pipelined / singles speedup ............... %.2fx\n",
+              singles_ips > 0.0 ? pipelined_ips / singles_ips : 0.0);
   std::printf("  responses identical to direct calls ....... %s\n\n",
               identical ? "HOLDS" : "DEVIATES");
 
   std::printf("BENCH_JSON {\"bench\":\"server\",\"mode\":\"batch\","
               "\"workers\":%d,\"rounds\":%d,\"items_per_batch\":%d,"
               "\"singles_items_per_s\":%.1f,\"batch_items_per_s\":%.1f,"
+              "\"pipelined_items_per_s\":%.1f,"
               "\"mismatches\":%ld,\"identical\":%s}\n",
               fixture.server.config().workers, rounds, items_per_batch,
-              singles_ips, batch_ips, mismatches,
+              singles_ips, batch_ips, pipelined_ips, mismatches,
               identical ? "true" : "false");
   return identical ? 0 : 1;
 }

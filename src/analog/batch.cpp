@@ -6,42 +6,19 @@
 #include <memory>
 #include <utility>
 
-#include "util/env.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/metrics.hpp"
 
 namespace memstress::analog {
 
 const char* solver_mode_name(SolverMode mode) {
-  switch (mode) {
-    case SolverMode::Exact: return "exact";
-    case SolverMode::Incremental: return "incremental";
-    case SolverMode::Batched: return "batched";
-  }
-  return "unknown";
+  return mode == SolverMode::Exact ? "exact" : "batched";
 }
 
 SolverMode parse_solver_mode(const std::string& text) {
   if (text == "exact") return SolverMode::Exact;
-  if (text == "incremental") return SolverMode::Incremental;
   if (text == "batched") return SolverMode::Batched;
-  throw Error("unknown solver mode '" + text +
-              "' (expected exact, incremental or batched)");
-}
-
-SolverMode solver_mode_from_env() {
-  static const SolverMode mode = [] {
-    const std::string raw = env_string_or("MEMSTRESS_SOLVER", "batched");
-    try {
-      return parse_solver_mode(raw);
-    } catch (const Error&) {
-      log_warn("MEMSTRESS_SOLVER=", raw,
-               " is not a solver mode; using the default (batched)");
-      return SolverMode::Batched;
-    }
-  }();
-  return mode;
+  throw Error("unknown solver mode '" + text + "' (expected exact or batched)");
 }
 
 namespace {
@@ -64,12 +41,8 @@ metrics::Counter& lane_ejection_counter() {
 }  // namespace
 
 BatchSimulator::BatchSimulator(const Netlist& netlist, SweptElement swept,
-                               std::vector<double> lane_values,
-                               BatchOptions options)
-    : net_(netlist),
-      swept_(swept),
-      values_(std::move(lane_values)),
-      options_(options) {
+                               std::vector<double> lane_values)
+    : net_(netlist), swept_(swept), values_(std::move(lane_values)) {
   require(!values_.empty(), "BatchSimulator: at least one lane required");
   if (swept_.kind == SweptElement::Kind::ResistorOhms) {
     require(swept_.index < net_.resistors().size(),
@@ -104,6 +77,8 @@ struct Runner {
   const std::vector<double>& values;
   const TransientSpec& spec;
   const std::size_t lanes, num_nodes, num_unknowns;
+  /// Lanes share factorizations only across a resistor sweep, where the
+  /// lane difference is the rank-1 stamp Sherman–Morrison bridges.
   const bool share_jacobian;
   std::vector<MosParams> run_params;
   std::vector<std::pair<std::string, double>> initial;
@@ -131,9 +106,8 @@ struct Runner {
   // --- shared linear algebra ------------------------------------------
   /// Jacobian slots, one per lane. In the shared mode lanes cluster onto a
   /// few of them (slot_of) and bridge the swept-value difference with a
-  /// Sherman–Morrison update; in the per-lane mode (incremental / vbd
-  /// sweeps, where the lane difference is not a rank-1 stamp) each lane uses
-  /// exactly its own slot.
+  /// Sherman–Morrison update; a vbd sweep's lanes each use exactly their
+  /// own slot.
   struct Slot {
     LuWorkspace ws;
     bool valid = false;
@@ -156,13 +130,6 @@ struct Runner {
   std::vector<double> rhs_scratch;
   std::vector<double> lane_vec;   // gather/scatter scratch
   std::vector<double> lane_prev;
-  // Blocked rung-1 scratch: lanes grouped by assigned slot, their negated
-  // residuals packed RHS-innermost for LuSolver::solve_block.
-  std::vector<std::vector<std::size_t>> cluster_members;
-  std::vector<double> block_b;
-  std::vector<double> block_scales;
-  std::vector<unsigned char> block_ok;
-  std::vector<char> handled;  // lane served by a blocked solve this iteration
 
   /// Lazily created per-lane scalar simulators for ejected intervals; each
   /// owns a netlist copy fixed at the lane's swept value.
@@ -178,7 +145,7 @@ struct Runner {
 
   Runner(Netlist& net_in, SweptElement swept_in,
          const std::vector<double>& values_in, const TransientSpec& spec_in,
-         std::size_t num_nodes_in, std::size_t num_unknowns_in, bool share,
+         std::size_t num_nodes_in, std::size_t num_unknowns_in,
          std::vector<std::pair<std::string, double>> initial_in)
       : net(net_in),
         swept(swept_in),
@@ -187,8 +154,7 @@ struct Runner {
         lanes(values_in.size()),
         num_nodes(num_nodes_in),
         num_unknowns(num_unknowns_in),
-        share_jacobian(share && swept_in.kind ==
-                                    SweptElement::Kind::ResistorOhms),
+        share_jacobian(swept_in.kind == SweptElement::Kind::ResistorOhms),
         initial(std::move(initial_in)) {
     run_params.reserve(net.mosfets().size());
     for (const auto& m : net.mosfets())
@@ -212,7 +178,7 @@ struct Runner {
     stats.resize(lanes);
     failure.assign(lanes, SolverFailure::NewtonNonConvergence);
     error.resize(lanes);
-    // One slot per lane in both modes. Shared mode clusters lanes onto a few
+    // One slot per lane either way. Shared mode clusters lanes onto a few
     // of them (slot_of) and bridges the swept-value difference with a rank-1
     // update; slot l is simply where lane l's own-state refresh lands.
     slots.resize(lanes);
@@ -221,8 +187,6 @@ struct Runner {
     rhs_scratch.assign(num_unknowns, 0.0);
     lane_vec.assign(num_unknowns, 0.0);
     lane_prev.assign(num_unknowns, 0.0);
-    cluster_members.resize(lanes);
-    handled.assign(lanes, 0);
     fallbacks.resize(lanes);
   }
 
@@ -471,17 +435,10 @@ struct Runner {
            res_norm[l] > kStallRatio * res_prev[l];
   }
 
-  bool solve_lane(std::size_t l, double t, double dt,
-                  const double* block_delta = nullptr,
-                  std::size_t block_stride = 1) {
+  bool solve_lane(std::size_t l, double t, double dt) {
     Slot* slot = &slots[share_jacobian ? slot_of[l] : l];
     bool solved = false;
-    if (block_delta != nullptr) {
-      // Rung 1 was already computed by the cluster's blocked solve.
-      for (std::size_t u = 0; u < num_unknowns; ++u)
-        lane_vec[u] = block_delta[u * block_stride];
-      solved = true;
-    } else if (slot->valid && !is_stalled(l, *slot)) {
+    if (slot->valid && !is_stalled(l, *slot)) {
       gather(residual, l, lane_vec);
       for (double& x : lane_vec) x = -x;
       if (share_jacobian) {
@@ -588,59 +545,7 @@ struct Runner {
       }
       if (all_done) return;
 
-      // Blocked rung-1: group open lanes by assigned slot and push each
-      // multi-lane cluster through one solve_block pass — the triangular
-      // sweeps read the LU once for the whole cluster. Stalled lanes and
-      // lanes on invalid slots skip the block (their rung 1 would be
-      // discarded anyway) and go through the individual ladder below.
-      if (share_jacobian) {
-        // Clusters form naturally through rung-2 adoption: when a lane
-        // borrows a neighbor's fresh factorization, slot_of records the
-        // adoption, and on later iterations every lane still assigned to
-        // that slot rides the same blocked solve.
-        for (auto& m : cluster_members) m.clear();
-        for (std::size_t l = 0; l < lanes; ++l) {
-          handled[l] = 0;
-          if (converged[l]) continue;
-          const Slot& slot = slots[slot_of[l]];
-          if (slot.valid && !is_stalled(l, slot))
-            cluster_members[slot_of[l]].push_back(l);
-        }
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          const auto& m = cluster_members[s];
-          const std::size_t r = m.size();
-          if (r < 2) continue;
-          block_b.resize(num_unknowns * r);
-          block_scales.resize(r);
-          block_ok.resize(r);
-          for (std::size_t k = 0; k < r; ++k)
-            block_scales[k] = 1.0 / values[m[k]] - slots[s].g_ref;
-          for (std::size_t u = 0; u < num_unknowns; ++u) {
-            const double* in = &residual[u * lanes];
-            double* out = &block_b[u * r];
-            for (std::size_t k = 0; k < r; ++k) out[k] = -in[m[k]];
-          }
-          slots[s].ws.solve_updated_block(block_scales.data(), block_b.data(),
-                                          r, block_ok.data());
-          for (std::size_t k = 0; k < r; ++k) {
-            const std::size_t l = m[k];
-            handled[l] = 1;
-            const double* delta = block_ok[k] ? &block_b[k] : nullptr;
-            if (!solve_lane(l, t, dt, delta, r)) {
-              piece_failed[l] = 1;
-              converged[l] = 1;
-            } else {
-              res_prev[l] = res_norm[l];
-              solved_last[l] = 1;
-            }
-          }
-        }
-      } else {
-        for (std::size_t l = 0; l < lanes; ++l) handled[l] = 0;
-      }
-
       for (std::size_t l = 0; l < lanes; ++l) {
-        if (handled[l]) continue;
         if (converged[l]) {
           solved_last[l] = 0;
           continue;
@@ -698,8 +603,7 @@ std::vector<LaneResult> BatchSimulator::run(
     lanes_c.add(static_cast<long>(values_.size()));
   }
 
-  Runner r(net_, swept_, values_, spec, num_nodes_, num_unknowns_,
-           options_.share_jacobian, initial_);
+  Runner r(net_, swept_, values_, spec, num_nodes_, num_unknowns_, initial_);
   r.seed_state();
 
   std::vector<long> record_index;
@@ -783,6 +687,8 @@ std::vector<LaneResult> BatchSimulator::run(
   static metrics::Counter& steps_c = metrics::counter("analog.steps");
   static metrics::Counter& newton_c = metrics::counter("analog.newton_iterations");
   static metrics::Counter& halvings_c = metrics::counter("analog.halvings");
+  static metrics::Counter& scalar_factorizations_c =
+      metrics::counter("analog.scalar_factorizations");
   for (std::size_t l = 0; l < lanes; ++l) {
     LaneResult& out = results[l];
     out.stats = r.stats[l];
@@ -791,6 +697,7 @@ std::vector<LaneResult> BatchSimulator::run(
       out.stats.steps += fs.steps;
       out.stats.newton_iterations += fs.newton_iterations;
       out.stats.halvings += fs.halvings;
+      out.stats.factorizations += fs.factorizations;
     }
     out.ok = !r.dead[l];
     if (r.dead[l]) {
@@ -800,6 +707,7 @@ std::vector<LaneResult> BatchSimulator::run(
     steps_c.add(out.stats.steps);
     newton_c.add(out.stats.newton_iterations);
     halvings_c.add(out.stats.halvings);
+    scalar_factorizations_c.add(out.stats.factorizations);
   }
   refactor_avoided_counter().add(r.refactor_avoided);
   refactorization_counter().add(r.refactorizations);

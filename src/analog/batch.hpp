@@ -8,11 +8,21 @@
 // BatchSimulator integrates all lanes in lockstep with structure-of-arrays
 // state, amortizing the expensive parts of the scalar path:
 //
-//  * One Newton Jacobian is assembled and LU-factored at a reference lane
-//    and reused both across lanes (the per-lane defect-resistor stamp is a
-//    symmetric rank-1 difference, applied exactly with Sherman–Morrison via
-//    LuWorkspace) and across iterations / steps while it keeps working —
-//    quiescent clock phases converge without a single refactorization.
+//  * Factorizations are reused across iterations and steps while they keep
+//    working — quiescent clock phases converge without a single
+//    refactorization. On a resistor sweep they are also shared across
+//    lanes: the per-lane defect-resistor stamp is a symmetric rank-1
+//    difference, applied exactly with Sherman–Morrison via LuWorkspace. A
+//    breakdown-voltage sweep differs by more than a rank-1 stamp, so each
+//    of its lanes reuses only its own factorization.
+//  * Every open lane takes one step of a per-lane trust ladder each
+//    iteration, cheapest rung first:
+//     1. its assigned factorization, trusted for small moves;
+//     2. (resistor sweeps) a cluster-mate's factorization assembled this
+//        iteration within kNearState of the lane's state, trusted for any
+//        move — one refresh then serves every lane riding the same
+//        common-mode swing;
+//     3. its own freshly assembled Jacobian: the scalar Newton map itself.
 //  * Convergence is judged per lane with both the classic |dv| < vtol test
 //    and a row-scaled residual check, so a stale or neighboring-lane
 //    Jacobian can never fake convergence: the residual is evaluated against
@@ -39,24 +49,17 @@
 
 namespace memstress::analog {
 
-/// Solver backend selection for R-axis sweeps, settable per characterize
-/// call and via the MEMSTRESS_SOLVER environment knob.
+/// Solver backend for the characterization sweeps, chosen per characterize
+/// call (CharacterizeSpec::solver; unset means Batched).
 enum class SolverMode {
-  Exact,        ///< scalar Simulator per grid point (the pre-batching path)
-  Incremental,  ///< lockstep lanes, per-lane Jacobians reused while they work
-  Batched,      ///< lockstep + shared reference Jacobian + Sherman–Morrison
+  Exact,    ///< scalar Simulator per grid point: the reference path
+  Batched,  ///< lockstep lanes through BatchSimulator
 };
 
 const char* solver_mode_name(SolverMode mode);
 
-/// Parse "exact" / "incremental" / "batched"; throws Error on anything else.
+/// Parse "exact" / "batched"; throws Error on anything else.
 SolverMode parse_solver_mode(const std::string& text);
-
-/// The MEMSTRESS_SOLVER environment knob, read once per process and cached
-/// (tests that need a specific mode set CharacterizeSpec::solver instead).
-/// Unset or empty means the default, Batched; an unknown value warns and
-/// falls back to Batched.
-SolverMode solver_mode_from_env();
 
 /// Which single element of the shared topology varies across lanes.
 struct SweptElement {
@@ -66,14 +69,6 @@ struct SweptElement {
   };
   Kind kind = Kind::ResistorOhms;
   std::size_t index = 0;
-};
-
-struct BatchOptions {
-  /// Share one reference-lane Jacobian across lanes (quasi-Newton with the
-  /// per-lane stamp applied by Sherman–Morrison). When false every lane
-  /// factors its own Jacobian but still reuses it across iterations and
-  /// steps while convergence holds — the "incremental" mode.
-  bool share_jacobian = true;
 };
 
 /// Per-lane outcome of a batched run. On failure (`ok == false`) the trace
@@ -95,7 +90,7 @@ struct LaneResult {
 class BatchSimulator {
  public:
   BatchSimulator(const Netlist& netlist, SweptElement swept,
-                 std::vector<double> lane_values, BatchOptions options = {});
+                 std::vector<double> lane_values);
 
   /// Initial node voltage, applied identically to every lane (UIC style,
   /// mirroring Simulator::set_initial).
@@ -107,13 +102,9 @@ class BatchSimulator {
                               const std::vector<std::string>& record);
 
  private:
-  struct Lane;
-  struct Group;
-
   Netlist net_;  // private copy; swept element retargeted per refresh
   SweptElement swept_;
   std::vector<double> values_;
-  BatchOptions options_;
   std::size_t num_nodes_ = 0;
   std::size_t num_unknowns_ = 0;
   std::vector<std::pair<std::string, double>> initial_;

@@ -25,9 +25,12 @@ void count_run(const Simulator::Stats& stats) {
   static metrics::Counter& newton =
       metrics::counter("analog.newton_iterations");
   static metrics::Counter& halvings = metrics::counter("analog.halvings");
+  static metrics::Counter& factorizations =
+      metrics::counter("analog.scalar_factorizations");
   steps.add(stats.steps);
   newton.add(stats.newton_iterations);
   halvings.add(stats.halvings);
+  factorizations.add(stats.factorizations);
 }
 
 }  // namespace
@@ -197,6 +200,7 @@ bool Simulator::solve_step(double t, double dt, const TransientSpec& spec,
   for (int iter = 0; iter < max_newton; ++iter) {
     ++stats_.newton_iterations;
     assemble(t, dt, spec.gmin, v, v_prev);
+    ++stats_.factorizations;
     if (!lu_.factor(a_)) {
       stats_.last_failure = "singular Jacobian at t=" + std::to_string(t);
       stats_.last_failure_kind = SolverFailure::SingularMatrix;

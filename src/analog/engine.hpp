@@ -136,6 +136,10 @@ class Simulator {
     long steps = 0;
     long newton_iterations = 0;
     long halvings = 0;
+    /// LU factorizations: the scalar path factors once per Newton
+    /// iteration. A BatchSimulator lane counts only its ejected intervals
+    /// here; the kernel's own refreshes are analog.refactorizations.
+    long factorizations = 0;
     std::string last_failure;  ///< diagnostics of the last Newton failure
     /// Classification of the last failure (meaningful only while
     /// last_failure is non-empty); carried into the SolverError thrown when

@@ -164,28 +164,4 @@ bool LuWorkspace::solve_updated(double scale, std::vector<double>& b) const {
   return true;
 }
 
-void LuWorkspace::solve_updated_block(const double* scales, double* b,
-                                      std::size_t nrhs,
-                                      unsigned char* ok) const {
-  require(factored_, "LuWorkspace::solve_updated_block before factor");
-  lu_.solve_block(b, nrhs);
-  for (std::size_t k = 0; k < nrhs; ++k) ok[k] = 1;
-  if (u_.empty()) return;
-  const std::size_t n = lu_.size();
-  for (std::size_t k = 0; k < nrhs; ++k) {
-    const double scale = scales[k];
-    if (scale == 0.0) continue;
-    const double denom = 1.0 + scale * utz_;
-    if (!(std::fabs(denom) > 1e-8)) {
-      ok[k] = 0;  // near-singular through this base; caller refactors
-      continue;
-    }
-    double uty = 0.0;
-    for (const auto& [row, coeff] : u_) uty += coeff * b[row * nrhs + k];
-    const double gain = scale * uty / denom;
-    if (gain == 0.0) continue;
-    for (std::size_t i = 0; i < n; ++i) b[i * nrhs + k] -= gain * z_[i];
-  }
-}
-
 }  // namespace memstress::analog

@@ -59,7 +59,8 @@ class LuSolver {
   /// the RHS index innermost (b[row * nrhs + k]), so the triangular sweeps
   /// read each LU row once and stream contiguously across the systems. Each
   /// column's arithmetic runs in the same order as `solve`, so column k's
-  /// result is identical to a scalar solve of that RHS.
+  /// result is identical to a scalar solve of that RHS. No solver path
+  /// calls it; perfbench's block-solve probe still does.
   void solve_block(double* b, std::size_t nrhs) const;
 
   std::size_t size() const { return n_; }
@@ -102,13 +103,6 @@ class LuWorkspace {
   /// Sherman–Morrison denominator guard trips; the caller must refactor.
   /// With scale == 0 this is an exact base solve and never fails.
   bool solve_updated(double scale, std::vector<double>& b) const;
-
-  /// Blocked solve_updated: `nrhs` systems sharing A_base but each with its
-  /// own rank-1 scale, B row-major with the RHS index innermost. ok[k] is
-  /// set false (that column left clobbered) where the Sherman–Morrison
-  /// denominator guard trips for scale[k]; other columns are unaffected.
-  void solve_updated_block(const double* scales, double* b, std::size_t nrhs,
-                           unsigned char* ok) const;
 
   /// Plain base solve, A_base x = b in place.
   void solve(std::vector<double>& b) const { lu_.solve(b); }

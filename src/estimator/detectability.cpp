@@ -411,15 +411,15 @@ void sweep_tasks(const CharacterizeSpec& spec,
   points.add(static_cast<long long>(end - begin));
 
   // Solver backend: exact runs every grid point through the scalar path;
-  // incremental/batched first sweep each (kind, category, vdd, period)
+  // batched (the default) first sweeps each (kind, category, vdd, period)
   // cell's whole R (or vbd) axis through the lockstep kernel, and only the
   // lanes the kernel could not converge fall back to the scalar rescue
   // ladder (attempts >= 2). The produced verdicts — and therefore the CSV —
-  // are identical in every mode. Closed-form backends report batched() =
-  // false, so every mode takes the identical per-point path.
+  // are identical in both modes. Closed-form backends report batched() =
+  // false, so both modes take the identical per-point path.
   const tech::TechnologyModel& model = tech::model_for(spec.technology);
   const analog::SolverMode mode =
-      spec.solver ? *spec.solver : analog::solver_mode_from_env();
+      spec.solver.value_or(analog::SolverMode::Batched);
   const std::unique_ptr<tech::SweepContext> ctx = model.make_context(spec, mode);
   const bool use_batch =
       model.batched() && mode != analog::SolverMode::Exact;

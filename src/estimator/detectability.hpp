@@ -209,10 +209,10 @@ struct CharacterizeSpec {
   /// hardware default. The produced database (and thus its CSV) is
   /// byte-identical at every thread count.
   int threads = 0;
-  /// Analog solver backend for the R-axis sweeps: nullopt follows the
-  /// MEMSTRESS_SOLVER environment knob (default batched). Execution-only —
-  /// the produced database (and thus its CSV) is identical in every mode,
-  /// so the mode participates in neither the spec nor the grid fingerprint.
+  /// Analog solver backend for the R-axis sweeps: nullopt means batched;
+  /// exact is the scalar reference path. Execution-only — the produced
+  /// database (and thus its CSV) is identical in both modes, so the mode
+  /// participates in neither the spec nor the grid fingerprint.
   std::optional<analog::SolverMode> solver;
 
   // --- fault tolerance -----------------------------------------------------

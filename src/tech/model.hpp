@@ -68,8 +68,9 @@ class TechnologyModel {
   virtual std::vector<estimator::GridPoint> build_grid(
       const estimator::CharacterizeSpec& spec) const = 0;
 
-  /// Build the per-sweep simulation state. `mode` is the resolved solver
-  /// mode (backends without a lockstep kernel may ignore it).
+  /// Build the per-sweep simulation state. Every backend ignores `mode`:
+  /// the estimator alone decides between simulate_point and simulate_batch.
+  /// The parameter stays because perfbench's probes call this signature.
   virtual std::unique_ptr<SweepContext> make_context(
       const estimator::CharacterizeSpec& spec,
       analog::SolverMode mode) const = 0;

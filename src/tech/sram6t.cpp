@@ -67,9 +67,8 @@ namespace {
 
 class Sram6TContext final : public SweepContext {
  public:
-  Sram6TContext(const CharacterizeSpec& spec, analog::SolverMode mode)
+  explicit Sram6TContext(const CharacterizeSpec& spec)
       : spec_(spec),
-        mode_(mode),
         tasks_(build_sram_tasks(spec)),
         golden_(sram::build_block(spec.block)) {}
 
@@ -112,13 +111,11 @@ class Sram6TContext final : public SweepContext {
       for (const std::size_t i : lanes)
         values.push_back(tasks_[i].entry.resistance);
     }
-    analog::BatchOptions batch_options;
-    batch_options.share_jacobian = mode_ == analog::SolverMode::Batched;
     const sram::StressPoint at{lead.entry.vdd, lead.entry.period};
     const std::vector<tester::BatchAnalogRun> runs =
         tester::run_march_analog_batch(std::move(faulty), spec_.block,
                                        spec_.test, at, swept, values,
-                                       batch_options, spec_.ate);
+                                       spec_.ate);
     for (std::size_t k = 0; k < lanes.size(); ++k) {
       if (!runs[k].ok) {
         results[k].error =
@@ -134,7 +131,6 @@ class Sram6TContext final : public SweepContext {
 
  private:
   const CharacterizeSpec& spec_;
-  analog::SolverMode mode_;
   std::vector<SramTask> tasks_;
   analog::Netlist golden_;
 };
@@ -153,8 +149,8 @@ class Sram6TModel final : public TechnologyModel {
   }
 
   std::unique_ptr<SweepContext> make_context(
-      const CharacterizeSpec& spec, analog::SolverMode mode) const override {
-    return std::make_unique<Sram6TContext>(spec, mode);
+      const CharacterizeSpec& spec, analog::SolverMode) const override {
+    return std::make_unique<Sram6TContext>(spec);
   }
 
   bool batched() const override { return true; }

@@ -72,7 +72,7 @@ std::vector<BatchAnalogRun> run_march_analog_batch(
     analog::Netlist netlist, const sram::BlockSpec& spec,
     const march::MarchTest& test, const sram::StressPoint& at,
     analog::SweptElement swept, const std::vector<double>& lane_values,
-    const analog::BatchOptions& batch_options, const AteOptions& options) {
+    const AteOptions& options) {
   require(options.steps_per_cycle >= 16,
           "run_march_analog_batch: steps_per_cycle too coarse");
   trace::Span span("tester.run_march_analog_batch");
@@ -86,7 +86,7 @@ std::vector<BatchAnalogRun> run_march_analog_batch(
                                       lane_values.size()));
   }
 
-  analog::BatchSimulator sim(netlist, swept, lane_values, batch_options);
+  analog::BatchSimulator sim(netlist, swept, lane_values);
   for (const auto& [name, volts] : initial_block_state(netlist, spec, at.vdd))
     sim.set_initial(name, volts);
 

@@ -64,7 +64,6 @@ std::vector<BatchAnalogRun> run_march_analog_batch(
     analog::Netlist netlist, const sram::BlockSpec& spec,
     const march::MarchTest& test, const sram::StressPoint& at,
     analog::SweptElement swept, const std::vector<double>& lane_values,
-    const analog::BatchOptions& batch_options,
     const AteOptions& options = {});
 
 /// Pass/fail oracle over the stress plane.

@@ -1,6 +1,6 @@
 // BatchSimulator-vs-scalar equivalence fuzz: lanes integrated in lockstep
-// (shared-Jacobian and per-lane-Jacobian modes, resistance and breakdown
-// sweeps) must reproduce the scalar Simulator's waveforms and the scalar
+// (resistance sweeps sharing Jacobians, breakdown sweeps each on their own)
+// must reproduce the scalar Simulator's waveforms and the scalar
 // ATE path's fail bitmaps on randomly drawn defect/stress points.
 #include "analog/batch.hpp"
 
@@ -60,21 +60,17 @@ TEST(BatchSimulator, MatchesScalarVerdictsAcrossRandomBridges) {
     defects::inject(family, lead);
     const SweptElement swept{SweptElement::Kind::ResistorOhms,
                              family.resistors().size() - 1};
-    for (const bool share : {true, false}) {
-      BatchOptions opts;
-      opts.share_jacobian = share;
-      const auto runs = tester::run_march_analog_batch(
-          family, spec, march::test_11n(), at, swept, lane_r, opts);
-      ASSERT_EQ(runs.size(), lane_r.size());
-      for (std::size_t l = 0; l < lane_r.size(); ++l) {
-        ASSERT_TRUE(runs[l].ok) << runs[l].error;
-        const defects::Defect d =
-            defects::representative_bridge(category, spec, lane_r[l]);
-        EXPECT_EQ(runs[l].log.summary(march::test_11n()),
-                  scalar_signature(spec, d, at))
-            << "share=" << share << " lane=" << l << " R=" << lane_r[l]
-            << " vdd=" << at.vdd << " T=" << at.period;
-      }
+    const auto runs = tester::run_march_analog_batch(
+        family, spec, march::test_11n(), at, swept, lane_r);
+    ASSERT_EQ(runs.size(), lane_r.size());
+    for (std::size_t l = 0; l < lane_r.size(); ++l) {
+      ASSERT_TRUE(runs[l].ok) << runs[l].error;
+      const defects::Defect d =
+          defects::representative_bridge(category, spec, lane_r[l]);
+      EXPECT_EQ(runs[l].log.summary(march::test_11n()),
+                scalar_signature(spec, d, at))
+          << "lane=" << l << " R=" << lane_r[l] << " vdd=" << at.vdd
+          << " T=" << at.period;
     }
   }
 }
@@ -93,7 +89,7 @@ TEST(BatchSimulator, MatchesScalarVerdictsOnBreakdownSweep) {
   const SweptElement swept{SweptElement::Kind::BreakdownVbd,
                            family.breakdowns().size() - 1};
   const auto runs = tester::run_march_analog_batch(
-      family, spec, march::test_11n(), at, swept, lane_vbd, BatchOptions{});
+      family, spec, march::test_11n(), at, swept, lane_vbd);
   ASSERT_EQ(runs.size(), lane_vbd.size());
   for (std::size_t l = 0; l < lane_vbd.size(); ++l) {
     ASSERT_TRUE(runs[l].ok) << runs[l].error;
@@ -129,7 +125,7 @@ TEST(BatchSimulator, TraceMatchesScalarWaveform) {
                            family.resistors().size() - 1};
   const tester::CompiledMarch compiled =
       tester::compile_march(family, spec, march::test_11n(), at);
-  BatchSimulator bsim(family, swept, {r / 3.0, r}, BatchOptions{});
+  BatchSimulator bsim(family, swept, {r / 3.0, r});
   for (const auto& [name, volts] :
        tester::initial_block_state(family, spec, at.vdd))
     bsim.set_initial(name, volts);

@@ -187,43 +187,6 @@ TEST(LuWorkspaceRank1, BlockedSolveIsBitwiseIdenticalToScalarColumns) {
   }
 }
 
-TEST(LuWorkspaceRank1, BlockedUpdatedSolveMatchesPerLanePath) {
-  // solve_updated_block must agree with the scalar solve_updated per
-  // column — including which columns the Sherman–Morrison guard refuses.
-  Rng rng(20260811);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = 3 + rng.below(10);
-    const std::size_t nrhs = 1 + rng.below(7);
-    const DenseMatrix base = random_spd_ish(rng, n);
-    const auto u = random_stamp(rng, n);
-    LuWorkspace ws;
-    ASSERT_TRUE(ws.factor(base));
-    ws.set_update_direction(u);
-
-    std::vector<double> scales(nrhs);
-    for (auto& s : scales) s = rng.uniform(-0.5, 3.0);
-    if (nrhs > 1) scales[rng.below(nrhs)] = 0.0;  // exercise the base path
-
-    std::vector<double> block(n * nrhs);
-    for (auto& x : block) x = rng.uniform(-5.0, 5.0);
-    std::vector<std::vector<double>> columns(nrhs, std::vector<double>(n));
-    for (std::size_t k = 0; k < nrhs; ++k)
-      for (std::size_t i = 0; i < n; ++i) columns[k][i] = block[i * nrhs + k];
-
-    std::vector<unsigned char> ok(nrhs, 0);
-    ws.solve_updated_block(scales.data(), block.data(), nrhs, ok.data());
-    for (std::size_t k = 0; k < nrhs; ++k) {
-      const bool scalar_ok = ws.solve_updated(scales[k], columns[k]);
-      ASSERT_EQ(ok[k] != 0, scalar_ok) << "trial " << trial << " col " << k;
-      if (!scalar_ok) continue;
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(block[i * nrhs + k], columns[k][i])
-            << "trial " << trial << " n=" << n << " nrhs=" << nrhs
-            << " col=" << k << " row=" << i;
-    }
-  }
-}
-
 TEST(LuWorkspaceRank1, RowNormsReflectBaseRows) {
   DenseMatrix base(2);
   base.at(0, 0) = 2.0;

@@ -79,6 +79,16 @@ TEST(ShardCodec, RejectsMissingAndOutOfRangeFields) {
   empty_axis.set("vdds", Json::array());
   EXPECT_THROW(characterize_spec_from_json(empty_axis), ProtocolError);
 
+  Json retired_solver = Json::parse(good.dump());
+  retired_solver.set("solver", Json("incremental"));
+  try {
+    characterize_spec_from_json(retired_solver);
+    ADD_FAILURE() << "\"solver\":\"incremental\" was accepted";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad \"solver\""), std::string::npos)
+        << e.what();
+  }
+
   Json bad_study = study_config_to_json(study::StudyConfig{});
   bad_study.set("device_count", Json(0));
   EXPECT_THROW(study_config_from_json(bad_study), ProtocolError);
