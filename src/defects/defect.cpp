@@ -36,7 +36,8 @@ std::string Defect::tag() const {
          net_a + " R=" + fmt_resistance(resistance);
 }
 
-void inject(analog::Netlist& netlist, const Defect& defect) {
+analog::SweptElement inject(analog::Netlist& netlist, const Defect& defect) {
+  using Kind = analog::SweptElement::Kind;
   require(defect.resistance > 0.0, "inject: defect resistance must be positive");
   require(defect.kind != DefectKind::Mtj,
           "inject: MTJ defects are not analog-injectable; the stt_mram "
@@ -47,14 +48,15 @@ void inject(analog::Netlist& netlist, const Defect& defect) {
     if (defect.breakdown_v > 0.0) {
       netlist.add_breakdown("defect:" + defect.net_a + "~" + defect.net_b, a, b,
                             defect.resistance, defect.breakdown_v);
-    } else {
-      netlist.add_resistor("defect:" + defect.net_a + "~" + defect.net_b, a, b,
-                           defect.resistance);
+      return {Kind::BreakdownVbd, netlist.breakdowns().size() - 1};
     }
-  } else {
-    require(netlist.has_joint(defect.net_a), "inject: unknown joint " + defect.net_a);
-    netlist.set_joint_resistance(defect.net_a, defect.resistance);
+    netlist.add_resistor("defect:" + defect.net_a + "~" + defect.net_b, a, b,
+                         defect.resistance);
+    return {Kind::ResistorOhms, netlist.resistors().size() - 1};
   }
+  require(netlist.has_joint(defect.net_a), "inject: unknown joint " + defect.net_a);
+  netlist.set_joint_resistance(defect.net_a, defect.resistance);
+  return {Kind::ResistorOhms, netlist.joint_resistor_index(defect.net_a)};
 }
 
 Defect representative_bridge(BridgeCategory category, const sram::BlockSpec& spec,

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "analog/batch.hpp"
 #include "analog/netlist.hpp"
 #include "layout/critical_area.hpp"
 #include "sram/block.hpp"
@@ -51,7 +52,9 @@ struct Defect {
 
 /// Inject the defect into a netlist (throws Error if the site does not
 /// exist in this netlist — e.g. a site folded onto a too-small block).
-void inject(analog::Netlist& netlist, const Defect& defect);
+/// Returns the element it added or retargeted: the bridge resistor, the
+/// breakdown device, or the open's joint resistor.
+analog::SweptElement inject(analog::Netlist& netlist, const Defect& defect);
 
 /// Map an extracted bridge site onto its representative site in a small
 /// simulation block (the detectability of a category is measured on one

@@ -410,19 +410,14 @@ void sweep_tasks(const CharacterizeSpec& spec,
   const std::size_t end = record.end();
   points.add(static_cast<long long>(end - begin));
 
-  // Solver backend: exact runs every grid point through the scalar path;
-  // batched (the default) first sweeps each (kind, category, vdd, period)
-  // cell's whole R (or vbd) axis through the lockstep kernel, and only the
-  // lanes the kernel could not converge fall back to the scalar rescue
-  // ladder (attempts >= 2). The produced verdicts — and therefore the CSV —
-  // are identical in both modes. Closed-form backends report batched() =
-  // false, so both modes take the identical per-point path.
-  const tech::TechnologyModel& model = tech::model_for(spec.technology);
-  const analog::SolverMode mode =
-      spec.solver.value_or(analog::SolverMode::Batched);
-  const std::unique_ptr<tech::SweepContext> ctx = model.make_context(spec, mode);
-  const bool use_batch =
-      model.batched() && mode != analog::SolverMode::Exact;
+  // Attempt 1 of every pending point runs through its cell's
+  // SweepContext::simulate_batch, so the technology alone decides how a
+  // cell runs (sram6t: the lockstep kernel when batched, one scalar solve
+  // per lane when exact). Only the lanes that fail attempt 1 go on to the
+  // scalar rescue ladder (attempts >= 2). The verdicts, and so the CSV, are
+  // identical in both solver modes.
+  const std::unique_ptr<tech::SweepContext> ctx =
+      tech::model_for(spec.technology).make_context(spec, spec.solver);
 
   // Progress lines are serialized here, so the callee needs no lock.
   std::mutex progress_mutex;
@@ -437,13 +432,12 @@ void sweep_tasks(const CharacterizeSpec& spec,
     report(i, detected ? " -> DETECTED" : " -> escape");
   };
 
-  /// Scalar attempt ladder for point i, starting at `start_attempt` with
-  /// `reason` carrying the failure that consumed the earlier attempts (the
-  /// batched kernel's, when it ejected this lane). Attempt k runs at
-  /// rescue_level k-1, exactly as before batching existed.
-  const auto run_point = [&](std::size_t i, int start_attempt,
-                             std::string reason) {
-    for (int attempt = start_attempt; attempt <= spec.max_attempts; ++attempt) {
+  /// Scalar rescue ladder for point i after a failed attempt 1 (`reason`):
+  /// attempt k runs at rescue_level k-1 until one succeeds or the attempts
+  /// run out and the point is quarantined.
+  const auto run_point = [&](std::size_t i, std::string reason) {
+    for (int attempt = 2; attempt <= spec.max_attempts; ++attempt) {
+      retries.add(1);
       try {
         chaos::maybe_fail("characterize.point", i, attempt);
         commit(i, ctx->simulate_point(i, attempt - 1));
@@ -454,37 +448,34 @@ void sweep_tasks(const CharacterizeSpec& spec,
       } catch (const chaos::ChaosError& e) {
         reason = e.what();
       }
-      if (attempt < spec.max_attempts) retries.add(1);
     }
     record.quarantine(i, spec.max_attempts, std::move(reason));
     report(i, " -> QUARANTINED");
   };
 
-  // Batched fan-out: one work item per (kind, category, vdd, period) cell,
-  // carrying that cell's whole swept axis as lanes. Groups are formed in
-  // first-seen task order and each task belongs to exactly one group, so
-  // commits stay indexed by task and the CSV stays byte-identical at every
-  // thread count (and identical to the exact mode's). A shard boundary that
-  // splits a cell's axis across two ranges merely shrinks the lockstep
-  // batch — the batched kernel is verdict-identical at any lane subset.
+  // One work item per (kind, category, vdd, period) cell, carrying that
+  // cell's whole swept axis as lanes. Groups are formed in first-seen task
+  // order and each task belongs to exactly one group, so commits stay
+  // indexed by task and the CSV stays byte-identical at every thread count.
+  // A shard boundary that splits a cell's axis across two ranges merely
+  // shrinks the cell — the lockstep kernel is verdict-identical at any lane
+  // subset.
   std::vector<std::vector<std::size_t>> groups;
-  if (use_batch) {
-    std::map<std::tuple<int, int, double, double>, std::size_t> group_of;
-    for (std::size_t i = begin; i < end; ++i) {
-      const DbEntry& e = grid[i].entry;
-      const auto key = std::make_tuple(static_cast<int>(e.kind), e.category,
-                                       e.vdd, e.period);
-      const auto [it, added] = group_of.emplace(key, groups.size());
-      if (added) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
+  std::map<std::tuple<int, int, double, double>, std::size_t> group_of;
+  for (std::size_t i = begin; i < end; ++i) {
+    const DbEntry& e = grid[i].entry;
+    const auto key = std::make_tuple(static_cast<int>(e.kind), e.category,
+                                     e.vdd, e.period);
+    const auto [it, added] = group_of.emplace(key, groups.size());
+    if (added) groups.emplace_back();
+    groups[it->second].push_back(i);
   }
 
   const auto group_body = [&](std::size_t g) {
     // Attempt-1 chaos hook per pending lane (a resumed run already has
-    // verdicts for the rest), exactly like the scalar path: a lane the chaos
-    // harness fails here skips the batch and goes straight to its attempt-2
-    // rescue, preserving the per-point failure schedule.
+    // verdicts for the rest): a lane the chaos harness fails here skips the
+    // cell run and goes straight to its attempt-2 rescue, preserving the
+    // per-point failure schedule.
     std::vector<std::size_t> lanes;
     std::vector<std::pair<std::size_t, std::string>> failed;
     for (const std::size_t i : groups[g]) {
@@ -507,25 +498,10 @@ void sweep_tasks(const CharacterizeSpec& spec,
       }
     }
 
-    // Scalar rescue ladder (attempts >= 2) for the lanes that failed their
-    // batched attempt 1 — same escalation, retry accounting and quarantine
-    // the exact mode applies after its attempt 1.
-    for (auto& [i, why] : failed) {
-      if (1 < spec.max_attempts) retries.add(1);
-      run_point(i, 2, std::move(why));
-    }
+    for (auto& [i, why] : failed) run_point(i, std::move(why));
   };
 
-  if (use_batch) {
-    parallel_for(groups.size(), group_body, spec.threads, spec.cancel);
-  } else {
-    parallel_for(
-        end - begin,
-        [&](std::size_t k) {
-          if (!record.done(begin + k)) run_point(begin + k, 1, "");
-        },
-        spec.threads, spec.cancel);
-  }
+  parallel_for(groups.size(), group_body, spec.threads, spec.cancel);
 }
 
 }  // namespace

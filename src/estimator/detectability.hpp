@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -209,11 +208,12 @@ struct CharacterizeSpec {
   /// hardware default. The produced database (and thus its CSV) is
   /// byte-identical at every thread count.
   int threads = 0;
-  /// Analog solver backend for the R-axis sweeps: nullopt means batched;
-  /// exact is the scalar reference path. Execution-only — the produced
-  /// database (and thus its CSV) is identical in both modes, so the mode
-  /// participates in neither the spec nor the grid fingerprint.
-  std::optional<analog::SolverMode> solver;
+  /// How the technology runs a cell (passed to make_context): batched is
+  /// sram6t's lockstep kernel, exact its scalar reference path. Execution-
+  /// only — the produced database (and thus its CSV) is identical in both
+  /// modes, so the mode participates in neither the spec nor the grid
+  /// fingerprint.
+  analog::SolverMode solver = analog::SolverMode::Batched;
 
   // --- fault tolerance -----------------------------------------------------
   /// Simulation attempts per grid point before quarantine. Attempt k reruns
@@ -248,8 +248,10 @@ std::string spec_fingerprint(const CharacterizeSpec& spec);
 using ProgressFn = std::function<void(const std::string&)>;
 
 /// Run the full analog characterization (expensive: one transient per grid
-/// point). Grid points are independent and fan out across spec.threads
-/// workers; entries are committed in grid order regardless of thread count.
+/// point). The grid's (kind, category, vdd, period) cells fan out across
+/// spec.threads workers, one task per cell, and the technology decides how
+/// a cell runs; entries are committed in grid order regardless of thread
+/// count.
 ///
 /// Fault tolerance: a grid point whose solve fails with a typed SolverError
 /// is retried up to spec.max_attempts times under escalating rescue
@@ -293,7 +295,7 @@ DetectabilityDb assemble_db(const CharacterizeSpec& spec,
                             const JobRecord& record);
 
 /// Characterize only grid points [begin, end) of the canonical grid — the
-/// worker half of the distributed sweep. Executes exactly the same batched
+/// worker half of the distributed sweep. Executes exactly the same cell
 /// grouping, retry escalation and quarantine policy as characterize(), and
 /// keys chaos injection by the *global* grid index, so any partition of the
 /// grid into ranges reproduces the single-node verdicts bit for bit.

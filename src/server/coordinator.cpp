@@ -193,7 +193,7 @@ struct Coordinator::Engine {
               break;
             }
           }
-          if (pick == shard_count && config.hedge) {
+          if (pick == shard_count) {
             // Nothing pending: duplicate the oldest single-copy in-flight
             // shard instead of idling. At most one hedge per shard, and a
             // dispatcher only ever hedges another worker's dispatch (one

@@ -20,8 +20,9 @@
 //     and the dead worker enters a health-probe quarantine loop. A probe
 //     success readmits it; probe exhaustion declares it dead for the run.
 //   * Stragglers: an idle dispatcher duplicates the lowest in-flight shard
-//     (hedged dispatch, at most one duplicate per shard). The first result
-//     to commit wins; the loser is counted in shards_deduped and dropped.
+//     (hedged dispatch, always on, at most one duplicate per shard). The
+//     first result to commit wins; the loser is counted in shards_deduped
+//     and dropped.
 //   * Exhausted retries / no live workers: the run degrades gracefully —
 //     unfinished shards are reported in stats().unresolved, their grid
 //     points become QuarantineEntry rows (the PR 3 contract) or unresolved
@@ -69,10 +70,6 @@ struct CoordinatorConfig {
   /// Health probes (with the same doubling backoff) before a quarantined
   /// worker is declared dead for the rest of the run.
   int probe_attempts = 3;
-  /// Hedged duplicate dispatch: an idle dispatcher re-sends the oldest
-  /// single-copy in-flight shard instead of sitting idle. First writer
-  /// wins; the duplicate is deduped by shard id on commit.
-  bool hedge = true;
   /// spec.threads / config.threads sent to each worker (1 = serial worker;
   /// workers on multicore hosts can fan out internally).
   int worker_threads = 1;

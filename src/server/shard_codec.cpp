@@ -139,8 +139,7 @@ Json characterize_spec_to_json(const estimator::CharacterizeSpec& spec) {
   out.set("gox_resistance", Json(spec.gox_resistance));
   out.set("max_attempts", Json(spec.max_attempts));
   out.set("threads", Json(spec.threads));
-  if (spec.solver)
-    out.set("solver", Json(analog::solver_mode_name(*spec.solver)));
+  out.set("solver", Json(analog::solver_mode_name(spec.solver)));
   out.set("technology", Json(tech::technology_name(spec.technology)));
   // Backend parameter packs travel only for the technology that reads them,
   // keeping sram6t frames byte-identical to the pre-technology protocol
@@ -183,6 +182,7 @@ estimator::CharacterizeSpec characterize_spec_from_json(const Json& json) {
   spec.max_attempts =
       static_cast<int>(int_field(json, "max_attempts", 1, 10, 3));
   spec.threads = static_cast<int>(int_field(json, "threads", 0, 256, 1));
+  // Absent field = batched, so frames that omit it keep their meaning.
   if (const Json* solver = json.find("solver")) {
     try {
       spec.solver = analog::parse_solver_mode(solver->as_string());

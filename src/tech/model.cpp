@@ -1,5 +1,6 @@
 #include "tech/model.hpp"
 
+#include "analog/engine.hpp"
 #include "march/library.hpp"
 #include "tech/sram6t.hpp"
 #include "tech/stt_mram.hpp"
@@ -7,6 +8,22 @@
 #include "util/error.hpp"
 
 namespace memstress::tech {
+
+std::vector<LaneResult> SweepContext::simulate_batch(
+    const std::vector<std::size_t>& lanes) {
+  std::vector<LaneResult> results(lanes.size());
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    try {
+      results[k].detected = simulate_point(lanes[k], 0);
+      results[k].ok = true;
+    } catch (const analog::SolverError& e) {
+      results[k].error =
+          std::string(analog::solver_failure_name(e.failure())) + ": " +
+          e.what();
+    }
+  }
+  return results;
+}
 
 const TechnologyModel& model_for(Technology technology) {
   switch (technology) {

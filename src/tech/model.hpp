@@ -12,9 +12,10 @@
 //   Undervolt  closed-form SRAM noise-margin/bit-error-rate collapse model
 //              over the *same* defect grid as Sram6T.
 //
-// Adding a backend means implementing TechnologyModel + SweepContext and
-// registering it in model_for() — the estimator, study layer, server and
-// coordinator pick it up unchanged (see TUTORIAL §12).
+// Adding a backend means implementing TechnologyModel + SweepContext (its
+// simulate_point; simulate_batch only for a lockstep kernel) and registering
+// it in model_for() — the estimator, study layer, server and coordinator
+// pick it up unchanged (see TUTORIAL §12).
 #pragma once
 
 #include <cstddef>
@@ -28,8 +29,8 @@
 
 namespace memstress::tech {
 
-/// Outcome of one lane of a batched simulation. `error` is the
-/// pre-formatted failure message (solver failure name + detail) when !ok.
+/// Outcome of one lane of a cell's simulate_batch(). `error` is the
+/// pre-formatted failure message ("<failure>: <what>") when !ok.
 struct LaneResult {
   bool ok = false;
   bool detected = false;
@@ -48,12 +49,14 @@ class SweepContext {
   /// a typed solver failure — the estimator's retry ladder catches it.
   virtual bool simulate_point(std::size_t index, int rescue_level) = 0;
 
-  /// Lockstep verdicts for `lanes` (global grid indices sharing one
-  /// (kind, category, vdd, period) cell). Called only when the model
-  /// reports batched(); failed lanes carry their formatted error and fall
-  /// back to the estimator's scalar rescue ladder.
+  /// Attempt-1 verdicts for `lanes` (global grid indices sharing one
+  /// (kind, category, vdd, period) cell): the only way the estimator runs
+  /// attempt 1 of a grid point. The default calls simulate_point(i, 0) per
+  /// lane and turns a SolverError into a failed lane; override it only for
+  /// a lockstep kernel. Failed lanes fall back to the estimator's scalar
+  /// rescue ladder (attempts >= 2).
   virtual std::vector<LaneResult> simulate_batch(
-      const std::vector<std::size_t>& lanes) = 0;
+      const std::vector<std::size_t>& lanes);
 };
 
 class TechnologyModel {
@@ -68,17 +71,12 @@ class TechnologyModel {
   virtual std::vector<estimator::GridPoint> build_grid(
       const estimator::CharacterizeSpec& spec) const = 0;
 
-  /// Build the per-sweep simulation state. Every backend ignores `mode`:
-  /// the estimator alone decides between simulate_point and simulate_batch.
-  /// The parameter stays because perfbench's probes call this signature.
+  /// Build the per-sweep simulation state. `mode` picks how the context
+  /// runs a cell: a backend with a lockstep kernel uses it in Batched and
+  /// the per-lane default in Exact; closed-form backends ignore it.
   virtual std::unique_ptr<SweepContext> make_context(
       const estimator::CharacterizeSpec& spec,
       analog::SolverMode mode) const = 0;
-
-  /// Whether make_context()'s simulate_batch is a real lockstep kernel.
-  /// false forces the per-point path in every solver mode, which also makes
-  /// cross-solver-mode CSV identity trivial for closed-form backends.
-  virtual bool batched() const = 0;
 
   /// Append the technology-specific parameters that shape the produced
   /// entries to the spec_fingerprint() canonical string.

@@ -67,8 +67,9 @@ namespace {
 
 class Sram6TContext final : public SweepContext {
  public:
-  explicit Sram6TContext(const CharacterizeSpec& spec)
+  Sram6TContext(const CharacterizeSpec& spec, analog::SolverMode mode)
       : spec_(spec),
+        mode_(mode),
         tasks_(build_sram_tasks(spec)),
         golden_(sram::build_block(spec.block)) {}
 
@@ -84,33 +85,22 @@ class Sram6TContext final : public SweepContext {
     return !run.log.passed();
   }
 
+  /// Batched runs the cell's swept axis through the lockstep kernel; Exact,
+  /// the scalar reference path, takes the per-lane default.
   std::vector<LaneResult> simulate_batch(
       const std::vector<std::size_t>& lanes) override {
+    if (mode_ == analog::SolverMode::Exact)
+      return SweepContext::simulate_batch(lanes);
     std::vector<LaneResult> results(lanes.size());
     if (lanes.empty()) return results;
     const SramTask& lead = tasks_[lanes.front()];
     analog::Netlist faulty = golden_;
-    defects::inject(faulty, lead.defect);
-    // Locate the swept element the injection just produced: bridges append
-    // the last resistor (or breakdown), opens retarget the joint resistor.
-    analog::SweptElement swept;
+    const analog::SweptElement swept = defects::inject(faulty, lead.defect);
+    const bool vbd = swept.kind == analog::SweptElement::Kind::BreakdownVbd;
     std::vector<double> values;
     values.reserve(lanes.size());
-    if (lead.entry.kind == DefectKind::Open) {
-      swept.kind = analog::SweptElement::Kind::ResistorOhms;
-      swept.index = faulty.joint_resistor_index(lead.defect.net_a);
-      for (const std::size_t i : lanes)
-        values.push_back(tasks_[i].entry.resistance);
-    } else if (lead.defect.breakdown_v > 0.0) {
-      swept.kind = analog::SweptElement::Kind::BreakdownVbd;
-      swept.index = faulty.breakdowns().size() - 1;
-      for (const std::size_t i : lanes) values.push_back(tasks_[i].entry.vbd);
-    } else {
-      swept.kind = analog::SweptElement::Kind::ResistorOhms;
-      swept.index = faulty.resistors().size() - 1;
-      for (const std::size_t i : lanes)
-        values.push_back(tasks_[i].entry.resistance);
-    }
+    for (const std::size_t i : lanes)
+      values.push_back(vbd ? tasks_[i].entry.vbd : tasks_[i].entry.resistance);
     const sram::StressPoint at{lead.entry.vdd, lead.entry.period};
     const std::vector<tester::BatchAnalogRun> runs =
         tester::run_march_analog_batch(std::move(faulty), spec_.block,
@@ -131,6 +121,7 @@ class Sram6TContext final : public SweepContext {
 
  private:
   const CharacterizeSpec& spec_;
+  analog::SolverMode mode_;
   std::vector<SramTask> tasks_;
   analog::Netlist golden_;
 };
@@ -149,11 +140,9 @@ class Sram6TModel final : public TechnologyModel {
   }
 
   std::unique_ptr<SweepContext> make_context(
-      const CharacterizeSpec& spec, analog::SolverMode) const override {
-    return std::make_unique<Sram6TContext>(spec);
+      const CharacterizeSpec& spec, analog::SolverMode mode) const override {
+    return std::make_unique<Sram6TContext>(spec, mode);
   }
-
-  bool batched() const override { return true; }
 
   void append_fingerprint(const CharacterizeSpec&,
                           std::string&) const override {

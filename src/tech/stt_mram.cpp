@@ -116,11 +116,6 @@ class SttMramContext final : public SweepContext {
     throw Error("stt_mram: unknown MTJ fault category");
   }
 
-  std::vector<LaneResult> simulate_batch(
-      const std::vector<std::size_t>&) override {
-    throw Error("stt_mram: closed-form backend has no batched kernel");
-  }
-
  private:
   const CharacterizeSpec& spec_;
   std::vector<DbEntry> entries_;
@@ -148,8 +143,6 @@ class SttMramModel final : public TechnologyModel {
       const CharacterizeSpec& spec, analog::SolverMode) const override {
     return std::make_unique<SttMramContext>(spec);
   }
-
-  bool batched() const override { return false; }
 
   void append_fingerprint(const CharacterizeSpec& spec,
                           std::string& canon) const override {

@@ -103,11 +103,6 @@ class UndervoltContext final : public SweepContext {
     return undervolt_detected(spec_.undervolt, tasks_[index].entry, ops_);
   }
 
-  std::vector<LaneResult> simulate_batch(
-      const std::vector<std::size_t>&) override {
-    throw Error("undervolt: closed-form backend has no batched kernel");
-  }
-
  private:
   const CharacterizeSpec& spec_;
   std::vector<SramTask> tasks_;
@@ -128,8 +123,6 @@ class UndervoltModel final : public TechnologyModel {
       const CharacterizeSpec& spec, analog::SolverMode) const override {
     return std::make_unique<UndervoltContext>(spec);
   }
-
-  bool batched() const override { return false; }
 
   void append_fingerprint(const CharacterizeSpec& spec,
                           std::string& canon) const override {

@@ -13,34 +13,38 @@ namespace memstress::tester {
 
 namespace nn = memstress::layout;
 
-AnalogRun run_march_analog(analog::Netlist netlist, const sram::BlockSpec& spec,
-                           const march::MarchTest& test,
-                           const sram::StressPoint& at,
-                           const AteOptions& options) {
+namespace {
+
+/// What both march drivers set up before the transient: the compiled
+/// stimulus (installed into the netlist), the recorded nodes and the
+/// transient spec with any rescue escalation applied.
+struct MarchSetup {
+  CompiledMarch compiled;
+  std::vector<std::string> record;
+  analog::TransientSpec transient;
+};
+
+MarchSetup prepare_march(analog::Netlist& netlist, const sram::BlockSpec& spec,
+                         const march::MarchTest& test,
+                         const sram::StressPoint& at,
+                         const AteOptions& options, std::size_t lanes) {
   require(options.steps_per_cycle >= 16,
           "run_march_analog: steps_per_cycle too coarse");
-  trace::Span span("tester.run_march_analog");
-  const CompiledMarch compiled = compile_march(netlist, spec, test, at);
-  {
-    static metrics::Counter& marches =
-        metrics::counter("tester.analog_marches");
-    static metrics::Counter& cycles = metrics::counter("tester.analog_cycles");
-    marches.add(1);
-    cycles.add(static_cast<long long>(compiled.cycles.size()));
-  }
+  MarchSetup setup{compile_march(netlist, spec, test, at), {}, {}};
+  static metrics::Counter& marches = metrics::counter("tester.analog_marches");
+  static metrics::Counter& cycles = metrics::counter("tester.analog_cycles");
+  marches.add(static_cast<long long>(lanes));
+  cycles.add(static_cast<long long>(setup.compiled.cycles.size() * lanes));
 
-  analog::Simulator sim(netlist);
-  seed_block_state(sim, netlist, spec, at.vdd);
-
-  std::vector<std::string> record;
-  for (int c = 0; c < spec.cols; ++c) record.push_back(nn::net_q(c));
+  for (int c = 0; c < spec.cols; ++c) setup.record.push_back(nn::net_q(c));
   for (const auto& extra : options.extra_record) {
-    if (std::find(record.begin(), record.end(), extra) == record.end())
-      record.push_back(extra);
+    if (std::find(setup.record.begin(), setup.record.end(), extra) ==
+        setup.record.end())
+      setup.record.push_back(extra);
   }
 
-  analog::TransientSpec spec_t;
-  spec_t.t_stop = compiled.t_stop;
+  analog::TransientSpec& spec_t = setup.transient;
+  spec_t.t_stop = setup.compiled.t_stop;
   spec_t.dt = at.period / options.steps_per_cycle;
   spec_t.temp_c = at.temp_c;
   if (options.rescue_level > 0) {
@@ -51,20 +55,38 @@ AnalogRun run_march_analog(analog::Netlist netlist, const sram::BlockSpec& spec,
     static metrics::Counter& rescues = metrics::counter("tester.rescue_runs");
     rescues.add(1);
   }
+  return setup;
+}
 
-  AnalogRun run{march::FailLog{}, sim.run(spec_t, record), {}};
-  run.sim_stats = sim.stats();
-
+/// Strobe every read cycle of the q outputs in `trace` into a fail log.
+march::FailLog strobe(const CompiledMarch& compiled, const analog::Trace& trace,
+                      const sram::StressPoint& at) {
+  march::FailLog log;
   for (std::size_t k = 0; k < compiled.cycles.size(); ++k) {
     const CycleInfo& cycle = compiled.cycles[k];
     if (!cycle.operation.is_read) continue;
     const bool observed = analog::digital_at(
-        run.trace, nn::net_q(cycle.col), compiled.sample_time(k), at.vdd);
+        trace, nn::net_q(cycle.col), compiled.sample_time(k), at.vdd);
     if (observed != cycle.operation.value) {
-      run.log.record({static_cast<long>(k), cycle.element, cycle.op, cycle.row,
-                      cycle.col, cycle.operation.value, observed});
+      log.record({static_cast<long>(k), cycle.element, cycle.op, cycle.row,
+                  cycle.col, cycle.operation.value, observed});
     }
   }
+  return log;
+}
+
+}  // namespace
+
+AnalogRun run_march_analog(analog::Netlist netlist, const sram::BlockSpec& spec,
+                           const march::MarchTest& test,
+                           const sram::StressPoint& at,
+                           const AteOptions& options) {
+  trace::Span span("tester.run_march_analog");
+  const MarchSetup setup = prepare_march(netlist, spec, test, at, options, 1);
+  analog::Simulator sim(netlist);
+  seed_block_state(sim, netlist, spec, at.vdd);
+  AnalogRun run{{}, sim.run(setup.transient, setup.record), sim.stats()};
+  run.log = strobe(setup.compiled, run.trace, at);
   return run;
 }
 
@@ -73,38 +95,14 @@ std::vector<BatchAnalogRun> run_march_analog_batch(
     const march::MarchTest& test, const sram::StressPoint& at,
     analog::SweptElement swept, const std::vector<double>& lane_values,
     const AteOptions& options) {
-  require(options.steps_per_cycle >= 16,
-          "run_march_analog_batch: steps_per_cycle too coarse");
   trace::Span span("tester.run_march_analog_batch");
-  const CompiledMarch compiled = compile_march(netlist, spec, test, at);
-  {
-    static metrics::Counter& marches =
-        metrics::counter("tester.analog_marches");
-    static metrics::Counter& cycles = metrics::counter("tester.analog_cycles");
-    marches.add(static_cast<long long>(lane_values.size()));
-    cycles.add(static_cast<long long>(compiled.cycles.size() *
-                                      lane_values.size()));
-  }
-
+  const MarchSetup setup =
+      prepare_march(netlist, spec, test, at, options, lane_values.size());
   analog::BatchSimulator sim(netlist, swept, lane_values);
   for (const auto& [name, volts] : initial_block_state(netlist, spec, at.vdd))
     sim.set_initial(name, volts);
-
-  std::vector<std::string> record;
-  for (int c = 0; c < spec.cols; ++c) record.push_back(nn::net_q(c));
-  for (const auto& extra : options.extra_record) {
-    if (std::find(record.begin(), record.end(), extra) == record.end())
-      record.push_back(extra);
-  }
-
-  analog::TransientSpec spec_t;
-  spec_t.t_stop = compiled.t_stop;
-  spec_t.dt = at.period / options.steps_per_cycle;
-  spec_t.temp_c = at.temp_c;
-  // No rescue escalation here: the batch path is always attempt 1; a failed
-  // lane is retried by the caller on the scalar path at rescue level >= 1.
-
-  std::vector<analog::LaneResult> lanes = sim.run(spec_t, record);
+  const std::vector<analog::LaneResult> lanes =
+      sim.run(setup.transient, setup.record);
 
   std::vector<BatchAnalogRun> runs(lanes.size());
   for (std::size_t l = 0; l < lanes.size(); ++l) {
@@ -116,17 +114,7 @@ std::vector<BatchAnalogRun> run_march_analog_batch(
       out.error = lanes[l].error;
       continue;
     }
-    for (std::size_t k = 0; k < compiled.cycles.size(); ++k) {
-      const CycleInfo& cycle = compiled.cycles[k];
-      if (!cycle.operation.is_read) continue;
-      const bool observed =
-          analog::digital_at(lanes[l].trace, nn::net_q(cycle.col),
-                             compiled.sample_time(k), at.vdd);
-      if (observed != cycle.operation.value) {
-        out.log.record({static_cast<long>(k), cycle.element, cycle.op,
-                        cycle.row, cycle.col, cycle.operation.value, observed});
-      }
-    }
+    out.log = strobe(setup.compiled, lanes[l].trace, at);
   }
   return runs;
 }

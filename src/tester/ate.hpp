@@ -57,9 +57,10 @@ struct BatchAnalogRun {
 /// Run `test` once per lane of a same-topology family: the netlist carries
 /// the defect already injected, and `swept`/`lane_values` identify the one
 /// element whose value differs between lanes (defect resistance or
-/// breakdown voltage). Stimulus compilation, state seeding and strobe
-/// comparison match run_march_analog exactly; the transient integration
-/// runs through analog::BatchSimulator.
+/// breakdown voltage; defects::inject returns it). Setup (stimulus
+/// compilation, counters, recorded nodes, transient spec and rescue
+/// escalation), state seeding and the strobe are run_march_analog's own;
+/// only the transient integration runs through analog::BatchSimulator.
 std::vector<BatchAnalogRun> run_march_analog_batch(
     analog::Netlist netlist, const sram::BlockSpec& spec,
     const march::MarchTest& test, const sram::StressPoint& at,

@@ -147,7 +147,8 @@ std::string json_number(double value) {
 void append_span_json(const SpanValue& span, std::string& out) {
   out += "{\"name\":\"" + span.name + "\",\"count\":" +
          std::to_string(span.count) + ",\"total_s\":" +
-         json_number(span.total_s) + ",\"children\":[";
+         json_number(span.total_s) + (span.fanout ? ",\"fanout\":true" : "") +
+         ",\"children\":[";
   for (std::size_t i = 0; i < span.children.size(); ++i) {
     if (i) out += ",";
     append_span_json(span.children[i], out);
@@ -157,34 +158,27 @@ void append_span_json(const SpanValue& span, std::string& out) {
 
 double spans_total(const std::vector<SpanValue>& spans) {
   double total = 0.0;
-  for (const auto& span : spans) total += span.total_s;
+  for (const auto& span : spans)
+    if (!span.fanout) total += span.total_s;
   return total;
 }
 
 void add_span_rows(const SpanValue& span, int depth, double root_total,
                    TextTable& table) {
-  const double share = root_total > 0.0 ? span.total_s / root_total : 0.0;
-  const int bar_width = static_cast<int>(share * 20.0 + 0.5);
-  std::vector<std::string> row;
-  row.push_back(std::string(static_cast<std::size_t>(2 * depth), ' ') +
-                span.name);
-  row.push_back(std::to_string(span.count));
-  row.push_back(fmt_fixed(span.total_s, 3));
-  row.push_back(fmt_percent(share) + "%");
-  row.push_back(std::string(static_cast<std::size_t>(bar_width), '#'));
-  table.add_row(std::move(row));
+  const std::string name =
+      std::string(static_cast<std::size_t>(2 * depth), ' ') + span.name;
+  const std::string seconds = fmt_fixed(span.total_s, 3);
+  if (span.fanout) {
+    table.add_row({name, std::to_string(span.count), "", seconds, "", ""});
+  } else {
+    const double share = root_total > 0.0 ? span.total_s / root_total : 0.0;
+    const int bar_width = static_cast<int>(share * 20.0 + 0.5);
+    table.add_row({name, std::to_string(span.count), seconds, "",
+                   fmt_percent(share) + "%",
+                   std::string(static_cast<std::size_t>(bar_width), '#')});
+  }
   for (const auto& child : span.children)
     add_span_rows(child, depth + 1, root_total, table);
-}
-
-SpanValue convert_span(const trace::NodeSnapshot& node) {
-  SpanValue span;
-  span.name = node.name;
-  span.count = node.count;
-  span.total_s = node.total_s;
-  for (const auto& child : node.children)
-    span.children.push_back(convert_span(child));
-  return span;
 }
 
 }  // namespace
@@ -237,8 +231,7 @@ RunReport collect() {
     }
     report.notes = reg.notes;
   }
-  for (const auto& node : trace::snapshot())
-    report.spans.push_back(convert_span(node));
+  report.spans = trace::snapshot();
   return report;
 }
 
@@ -298,7 +291,7 @@ std::string RunReport::to_table() const {
     out += "\n" + table.to_string();
   }
   if (!spans.empty()) {
-    TextTable table({"span", "count", "total s", "share", ""});
+    TextTable table({"span", "count", "total s", "busy s", "share", ""});
     const double total = spans_total(spans);
     for (const auto& span : spans) add_span_rows(span, 0, total, table);
     out += "\n" + table.to_string();

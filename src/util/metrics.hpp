@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "util/trace.hpp"
+
 namespace memstress::metrics {
 
 namespace detail {
@@ -122,12 +124,7 @@ struct HistogramValue {
 };
 
 /// Aggregated timing-span node (collected from util/trace).
-struct SpanValue {
-  std::string name;
-  long long count = 0;
-  double total_s = 0.0;
-  std::vector<SpanValue> children;
-};
+using SpanValue = trace::NodeSnapshot;
 
 struct RunReport {
   std::vector<CounterValue> counters;      ///< sorted by name, nonzero only
@@ -136,11 +133,14 @@ struct RunReport {
   std::vector<std::string> notes;          ///< annotation lines, in order
 
   /// Compact single-line JSON:
-  /// {"counters":{...},"histograms":{...},"spans":[...],"notes":[...]}
+  /// {"counters":{...},"histograms":{...},"spans":[...],"notes":[...]};
+  /// a fan-out span node carries "fanout":true.
   std::string to_json() const;
 
   /// Human-readable report: a counter table, a histogram table, and the
-  /// span tree with share-of-root ASCII bars.
+  /// span tree with share-of-root ASCII bars. A fan-out span's time is
+  /// summed across workers, so it goes in its own "busy s" column with no
+  /// share; only wall-time spans get a share of the (wall-time) roots.
   std::string to_table() const;
 };
 

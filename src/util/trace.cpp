@@ -17,6 +17,7 @@ struct Node {
   Node* parent = nullptr;
   long long count = 0;
   double total_s = 0.0;
+  bool fanout = false;
   std::vector<std::unique_ptr<Node>> children;
 };
 
@@ -31,6 +32,7 @@ Node& root() {
 }
 
 thread_local Node* tls_current = nullptr;  // null = top level (root)
+thread_local int tls_guards = 0;           // live ContextGuards
 
 Node* find_or_add_child(Node& parent, const char* name) {
   for (const auto& child : parent.children)
@@ -49,6 +51,7 @@ void snapshot_children(const Node& node, std::vector<NodeSnapshot>& out) {
     snap.name = child->name;
     snap.count = child->count;
     snap.total_s = child->total_s;
+    snap.fanout = child->fanout;
     snapshot_children(*child, snap.children);
     out.push_back(std::move(snap));
   }
@@ -57,6 +60,7 @@ void snapshot_children(const Node& node, std::vector<NodeSnapshot>& out) {
 void zero(Node& node) {
   node.count = 0;
   node.total_s = 0.0;
+  node.fanout = false;
   for (const auto& child : node.children) zero(*child);
 }
 
@@ -67,6 +71,7 @@ Span::Span(const char* name) {
   std::lock_guard<std::mutex> lock(tree_mutex());
   Node& parent = tls_current ? *tls_current : root();
   Node* node = find_or_add_child(parent, name);
+  if (tls_guards > 0) node->fanout = true;
   node_ = node;
   parent_ = tls_current;
   tls_current = node;
@@ -89,9 +94,13 @@ void* current_context() { return tls_current; }
 
 ContextGuard::ContextGuard(void* context) : prev_(tls_current) {
   tls_current = static_cast<Node*>(context);
+  ++tls_guards;
 }
 
-ContextGuard::~ContextGuard() { tls_current = static_cast<Node*>(prev_); }
+ContextGuard::~ContextGuard() {
+  tls_current = static_cast<Node*>(prev_);
+  --tls_guards;
+}
 
 std::vector<NodeSnapshot> snapshot() {
   std::lock_guard<std::mutex> lock(tree_mutex());

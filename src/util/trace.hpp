@@ -9,7 +9,9 @@
 // span was current on the thread that *launched* the job. util/parallel
 // captures current_context() in parallel_for and installs it on each worker
 // via ContextGuard, so a span opened inside a task body lands under the
-// caller's span exactly as it would serially.
+// caller's span exactly as it would serially. Such a span is marked
+// fan-out: its time is summed across the workers, so it is busy time, not
+// a share of its parent's wall time.
 //
 // Spans obey the metrics::enabled() toggle: when disabled at construction a
 // Span is inert (two null-pointer writes). Aggregation uses one mutex per
@@ -42,7 +44,8 @@ class Span {
 void* current_context();
 
 /// Installs a captured context as this thread's current span for the guard's
-/// lifetime (used by the thread pool around each job).
+/// lifetime (used by the thread pool around each job). Spans entered while a
+/// guard is active are marked fan-out.
 class ContextGuard {
  public:
   explicit ContextGuard(void* context);
@@ -59,7 +62,8 @@ class ContextGuard {
 struct NodeSnapshot {
   std::string name;
   long long count = 0;
-  double total_s = 0.0;
+  double total_s = 0.0;  ///< wall time, or summed worker time when fanout
+  bool fanout = false;   ///< entered under a ContextGuard
   std::vector<NodeSnapshot> children;
 };
 std::vector<NodeSnapshot> snapshot();

@@ -52,20 +52,27 @@ TEST(Defect, OpenTagMentionsJoint) {
 TEST(Inject, BridgeAddsOneResistor) {
   analog::Netlist nl = sram::build_block(small_block());
   const std::size_t before = nl.resistors().size();
-  inject(nl, representative_bridge(BridgeCategory::CellTrueFalse, small_block(),
-                                   1e3));
+  const analog::SweptElement added = inject(
+      nl, representative_bridge(BridgeCategory::CellTrueFalse, small_block(),
+                                1e3));
   EXPECT_EQ(nl.resistors().size(), before + 1);
+  EXPECT_TRUE(added.kind == analog::SweptElement::Kind::ResistorOhms &&
+              added.index == before);
 }
 
 TEST(Inject, OpenRaisesJointResistance) {
   analog::Netlist nl = sram::build_block(small_block());
   const std::size_t resistors_before = nl.resistors().size();
-  inject(nl, representative_open(OpenCategory::Wordline, small_block(), 2e6));
+  const analog::SweptElement retargeted = inject(
+      nl, representative_open(OpenCategory::Wordline, small_block(), 2e6));
   EXPECT_EQ(nl.resistors().size(), resistors_before);  // no new device
   bool found = false;
-  for (const auto& r : nl.resistors()) {
+  for (std::size_t i = 0; i < nl.resistors().size(); ++i) {
+    const auto& r = nl.resistors()[i];
     if (r.name == "joint:" + layout::joint_wordline(0)) {
       EXPECT_DOUBLE_EQ(r.ohms, 2e6);
+      EXPECT_TRUE(retargeted.kind == analog::SweptElement::Kind::ResistorOhms &&
+                  retargeted.index == i);
       found = true;
     }
   }
@@ -77,9 +84,11 @@ TEST(Inject, BreakdownBridgeAddsBreakdownDevice) {
   Defect d = representative_bridge(BridgeCategory::CellGateOxide, small_block(),
                                    5e3);
   d.breakdown_v = 1.8;
-  inject(nl, d);
+  const analog::SweptElement added = inject(nl, d);
   ASSERT_EQ(nl.breakdowns().size(), 1u);
   EXPECT_DOUBLE_EQ(nl.breakdowns()[0].vbd, 1.8);
+  EXPECT_TRUE(added.kind == analog::SweptElement::Kind::BreakdownVbd &&
+              added.index == 0u);
 }
 
 TEST(Inject, RejectsNonPositiveResistance) {

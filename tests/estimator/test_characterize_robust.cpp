@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analog/batch.hpp"
 #include "estimator/coverage.hpp"
 #include "estimator/detectability.hpp"
 #include "march/library.hpp"
@@ -122,6 +123,28 @@ TEST(CharacterizeRobust, RetriesFireAndChaosOffIsFree) {
   }
   metrics::reset();
   metrics::set_enabled(false);
+}
+
+TEST(CharacterizeRobust, SolverFailureQuarantinesWithItsReason) {
+  // A 1 nOhm cell true-false bridge at Vmax, at speed, 16 steps per cycle:
+  // the exact path's Newton iteration cannot converge at t = 0. That real
+  // SolverError (no chaos injection) must reach the quarantine record as
+  // "<failure>: <what>". Grid point 0 alone keeps this to a few seconds.
+  CharacterizeSpec spec = tiny_spec();
+  spec.test = march::mats_plus();
+  spec.vdds = {1.95};
+  spec.periods = {15e-9};
+  spec.bridge_resistances = {1e-9};
+  spec.ate.steps_per_cycle = 16;
+  spec.solver = analog::SolverMode::Exact;
+  spec.max_attempts = 1;
+  const std::vector<PointVerdict> verdicts = characterize_range(spec, 0, 1);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_TRUE(verdicts[0].quarantined);
+  EXPECT_EQ(verdicts[0].attempts, 1);
+  EXPECT_EQ(verdicts[0].reason.rfind("newton-non-convergence: Simulator: ", 0),
+            0u)
+      << verdicts[0].reason;
 }
 
 TEST(CharacterizeRobust, QuarantineDeterministicAcrossThreadCounts) {

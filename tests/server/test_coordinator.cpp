@@ -46,8 +46,7 @@ TEST(ShardCodec, CharacterizeSpecRoundTripsWithEqualFingerprint) {
   EXPECT_EQ(back.open_resistances, spec.open_resistances);
   EXPECT_EQ(back.max_attempts, spec.max_attempts);
   EXPECT_EQ(back.threads, spec.threads);
-  ASSERT_TRUE(back.solver.has_value());
-  EXPECT_EQ(*back.solver, analog::SolverMode::Exact);
+  EXPECT_EQ(back.solver, analog::SolverMode::Exact);
   EXPECT_TRUE(back.checkpoint_path.empty());
 }
 

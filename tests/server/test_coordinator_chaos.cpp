@@ -253,7 +253,6 @@ TEST(CoordinatorChaos, ExhaustedRetriesDegradeToUnresolvedQuarantine) {
                          worker_config());
   CoordinatorConfig config = coord_config(fleet, 8);
   config.max_shard_attempts = 2;
-  config.hedge = false;
   Coordinator coordinator(config);
   const estimator::DetectabilityDb db = coordinator.characterize(tiny_spec());
 

@@ -36,10 +36,6 @@ TEST(Technology, ModelForReturnsTheMatchingSingleton) {
     // Stateless singletons: the same reference every time.
     EXPECT_EQ(&model, &model_for(technology));
   }
-  // Only the analog backend has a lockstep batch kernel.
-  EXPECT_TRUE(model_for(Technology::Sram6T).batched());
-  EXPECT_FALSE(model_for(Technology::SttMram).batched());
-  EXPECT_FALSE(model_for(Technology::Undervolt).batched());
 }
 
 TEST(Technology, DefaultSpecsCarryTheTechnologyConventions) {

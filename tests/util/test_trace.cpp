@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <chrono>
+#include <string>
+#include <thread>
+
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -77,16 +82,39 @@ TEST(TraceParallel, WorkerSpansNestUnderTheLaunchingSpan) {
   MetricsGuard guard;
   {
     Span outer("parallel_outer");
-    parallel_for(16, [](std::size_t) { Span task("task"); }, 4);
+    parallel_for(
+        16,
+        [](std::size_t) {
+          Span task("task");
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        },
+        4);
   }
   const auto roots = snapshot();
   const NodeSnapshot* outer = find(roots, "parallel_outer");
   ASSERT_NE(outer, nullptr);
+  EXPECT_FALSE(outer->fanout);
   const NodeSnapshot* task = find(outer->children, "task");
   ASSERT_NE(task, nullptr);
   EXPECT_EQ(task->count, 16);
+  // Worker time is summed across threads: busy time, not a wall-time share.
+  EXPECT_TRUE(task->fanout);
   // Nothing leaked to the top level.
   EXPECT_EQ(find(roots, "task"), nullptr);
+
+  // The summed worker time outgrows its wall-time parent, yet no printed
+  // share passes 100%.
+  EXPECT_GT(task->total_s, outer->total_s);
+  const std::string table = metrics::collect().to_table();
+  for (std::size_t end = table.find('%'); end != std::string::npos;
+       end = table.find('%', end + 1)) {
+    std::size_t start = end;
+    while (start > 0 && (std::isdigit(static_cast<unsigned char>(
+                             table[start - 1])) ||
+                         table[start - 1] == '.'))
+      --start;
+    EXPECT_LE(std::stod(table.substr(start, end - start)), 100.0) << table;
+  }
 }
 
 TEST(TraceParallel, ContextGuardRestoresOnExit) {
@@ -116,6 +144,7 @@ TEST(TraceParallel, SerialFallbackKeepsNesting) {
   const NodeSnapshot* task = find(outer->children, "task");
   ASSERT_NE(task, nullptr);
   EXPECT_EQ(task->count, 4);
+  EXPECT_FALSE(task->fanout);  // inline on the caller: wall time
 }
 
 }  // namespace
