@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   const estimator::CharacterizeSpec spec = bench_spec(smoke);
   const study::StudyConfig study_config = bench_study_config(smoke);
   const std::size_t grid = estimator::characterize_grid(spec).size();
-  std::printf("bench_coordinator: %zu grid points, %d-point shards, %d-device "
+  std::printf("bench_coordinator: %zu grid points, %d-point shards, %ld-device "
               "study, fleets of", grid, shard_points,
               study_config.device_count);
   for (const int w : fleet_shapes) std::printf(" %d", w);
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
   }
   fleets_json += "]";
   std::printf("BENCH_JSON {\"bench\":\"coordinator\",\"grid_points\":%zu,"
-              "\"shard_points\":%d,\"study_devices\":%d,"
+              "\"shard_points\":%d,\"study_devices\":%ld,"
               "\"single_characterize_s\":%.4f,\"single_study_s\":%.4f,"
               "\"fleets\":%s,\"identical\":%s}\n",
               grid, shard_points, study_config.device_count, single_char_s,

@@ -318,9 +318,12 @@ long count_lines(const std::string& path) {
 }
 
 int run_soak(const SoakOptions& opt) {
-  // Arm the NDJSON metrics feed before the server starts: start() sees a
-  // configured stream, force-enables metrics and runs its SnapshotStreamer.
+  // Arm the NDJSON metrics feed before the server starts. The streamer
+  // turns metrics on and rides through every kill/resume cycle; it is a
+  // no-op when no target is configured.
   if (!opt.stream.empty()) metrics::set_stream_target(opt.stream);
+  auto streamer =
+      std::make_unique<metrics::SnapshotStreamer>(500, "memstressd");
   if (opt.chaos_rate > 0.0) chaos::configure(opt.chaos_rate, opt.seed);
 
   server::ServerConfig config;
@@ -329,7 +332,6 @@ int run_soak(const SoakOptions& opt) {
   // Small cache so the zipf tail and the cold storms force evictions — a
   // soak against an infinite cache would never test the eviction path.
   config.cache_entries = 64;
-  config.metrics_stream_ms = 500;
   SoakServer soak(config);
   const std::vector<PooledRequest> pool = build_hot_pool(soak);
   const server::ZipfSampler zipf(pool.size(), 1.1);
@@ -374,7 +376,8 @@ int run_soak(const SoakOptions& opt) {
   const auto drain_start = std::chrono::steady_clock::now();
   for (std::thread& t : threads) t.join();
   const double drain_s = seconds_since(drain_start);
-  soak.kill();  // final stop; flushes the streamer's last snapshot
+  soak.kill();       // final stop
+  streamer.reset();  // final snapshot lands before the lines are counted
 
   const server::TrafficReport report = recorder.report();
   // Wedge-detection SLOs: every successful sample must be inside the

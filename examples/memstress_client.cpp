@@ -10,9 +10,9 @@
 // into the {"requests":[...]} shape the daemon expects, so a bulk sweep is
 // one line:
 //
-//   MEMSTRESS_PORT=7733 ./build/examples/memstress_client batch \
+//   MEMSTRESS_PORT=7733 ./build/examples/memstress_client batch
 //       '[{"type":"dpm","params":{"yield":0.95,"defect_coverage":0.99}},
-//         {"type":"health"}]'
+//         {"type":"health"}]'                 (params on the same line)
 //
 // Prints the result document (one line of JSON) on success; on an error
 // response prints the structured code/message and exits nonzero. The

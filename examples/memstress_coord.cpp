@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   const bool study_identical =
       result.summary() == expected_study.summary() &&
       result.devices == expected_study.devices;
-  std::printf("  %d devices tallied in %.3f s — %s\n", result.devices, study_s,
+  std::printf("  %ld devices tallied in %.3f s — %s\n", result.devices, study_s,
               study_identical ? "tallies identical to single node"
                               : "tallies DEVIATE from single node");
   print_stats(study_coordinator.stats());

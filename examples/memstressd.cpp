@@ -9,7 +9,8 @@
 // answers. Repeat coverage/dpm/schedule traffic is served from an in-memory
 // result cache with single-flight coalescing.
 //
-// Configuration comes from the environment (util/env semantics):
+// Configuration comes from the environment, parsed here (util/env
+// semantics: an invalid value warns once and falls back to the default):
 //   MEMSTRESS_ADDR                listen address   (default 127.0.0.1)
 //   MEMSTRESS_PORT                listen port      (default 0 = ephemeral)
 //   MEMSTRESS_SERVER_WORKERS      worker threads   (default MEMSTRESS_THREADS)
@@ -33,6 +34,9 @@
 //   MEMSTRESS_BATCH_MAX           max sub-requests per batch (default 256)
 //   MEMSTRESS_TECHNOLOGY          backend the node characterizes and serves:
 //                                 sram6t (default), stt_mram or undervolt
+//   MEMSTRESS_METRICS_STREAM      NDJSON metrics feed (<path|fd>): turns
+//                                 metrics on and appends one snapshot per
+//                                 second plus a final one at shutdown
 //
 // Usage: ./build/examples/memstressd [db_cache_path]
 #include <cstdio>
@@ -44,11 +48,45 @@
 #include "tech/model.hpp"
 #include "util/cancel.hpp"
 #include "util/env.hpp"
+#include "util/metrics.hpp"
+#include "util/parallel.hpp"
 #include "util/signal_guard.hpp"
 
 using namespace memstress;
 
 namespace {
+
+int env_int(const char* name, long min_value, long max_value, long fallback) {
+  return static_cast<int>(env_int_or(name, min_value, max_value, fallback));
+}
+
+/// The server knobs listed above, read from the environment.
+server::ServerConfig read_server_config() {
+  server::ServerConfig config;
+  config.address = env_string_or("MEMSTRESS_ADDR", config.address);
+  config.port = env_int("MEMSTRESS_PORT", 0, 65535, config.port);
+  config.workers = env_int("MEMSTRESS_SERVER_WORKERS", 1, 4096,
+                           default_thread_count());
+  config.queue_depth =
+      env_int("MEMSTRESS_QUEUE_DEPTH", 1, 1 << 20, config.queue_depth);
+  config.request_timeout_ms = env_int("MEMSTRESS_REQUEST_TIMEOUT_MS", 1,
+                                      3600000, config.request_timeout_ms);
+  config.idle_timeout_ms = env_int("MEMSTRESS_IDLE_TIMEOUT_MS", 1, 86400000,
+                                   config.idle_timeout_ms);
+  config.write_timeout_ms = env_int("MEMSTRESS_WRITE_TIMEOUT_MS", 1, 3600000,
+                                    config.write_timeout_ms);
+  config.max_inflight =
+      env_int("MEMSTRESS_MAX_INFLIGHT", 1, 1 << 20, config.max_inflight);
+  config.max_output_bytes = static_cast<std::size_t>(
+      env_int_or("MEMSTRESS_MAX_OUTPUT_BYTES", 4096, 1L << 31,
+                 static_cast<long>(config.max_output_bytes)));
+  config.max_connections =
+      env_int("MEMSTRESS_MAX_CONNECTIONS", 0, 1 << 22, config.max_connections);
+  config.cache_entries =
+      env_int("MEMSTRESS_CACHE_ENTRIES", 0, 1 << 22, config.cache_entries);
+  config.batch_max = env_int("MEMSTRESS_BATCH_MAX", 1, 65536, config.batch_max);
+  return config;
+}
 
 int run(int argc, char** argv) {
   const tech::Technology technology =
@@ -73,7 +111,7 @@ int run(int argc, char** argv) {
   const auto db = pipeline.share_database();
   std::printf("memstressd: %zu characterized grid points ready\n", db->size());
 
-  const server::ServerConfig server_config = server::ServerConfig::from_env();
+  const server::ServerConfig server_config = read_server_config();
   auto service = std::make_shared<const server::MemstressService>(
       db,
       estimator::PopulationModel::calibrate(pipeline.config().layout_rows,
@@ -81,6 +119,9 @@ int run(int argc, char** argv) {
       pipeline.config().fab, pipeline.make_sampler(),
       server_config.service_info(), pipeline.config().mtj_fab);
 
+  // Declared before the server so it outlives the drain: its destructor
+  // writes the final snapshot after stop() has answered every request.
+  const metrics::SnapshotStreamer streamer(1000, "memstressd");
   server::Server daemon(server_config, service);
   daemon.start();
   std::printf("memstressd: listening on %s:%d (%d workers, queue depth %d)\n",

@@ -17,49 +17,11 @@
 #include <unistd.h>
 
 #include "util/chaos.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
 namespace memstress::server {
-
-ServerConfig ServerConfig::from_env() {
-  ServerConfig config;
-  config.address = env_string_or("MEMSTRESS_ADDR", config.address);
-  config.port =
-      static_cast<int>(env_int_or("MEMSTRESS_PORT", 0, 65535, config.port));
-  config.workers = static_cast<int>(
-      env_int_or("MEMSTRESS_SERVER_WORKERS", 1, 4096, default_thread_count()));
-  config.queue_depth = static_cast<int>(
-      env_int_or("MEMSTRESS_QUEUE_DEPTH", 1, 1 << 20, config.queue_depth));
-  config.request_timeout_ms = static_cast<int>(env_int_or(
-      "MEMSTRESS_REQUEST_TIMEOUT_MS", 1, 3600000, config.request_timeout_ms));
-  config.idle_timeout_ms = static_cast<int>(env_int_or(
-      "MEMSTRESS_IDLE_TIMEOUT_MS", 1, 86400000, config.idle_timeout_ms));
-  config.write_timeout_ms = static_cast<int>(env_int_or(
-      "MEMSTRESS_WRITE_TIMEOUT_MS", 1, 3600000, config.write_timeout_ms));
-  config.max_inflight = static_cast<int>(
-      env_int_or("MEMSTRESS_MAX_INFLIGHT", 1, 1 << 20, config.max_inflight));
-  config.max_output_bytes = static_cast<std::size_t>(
-      env_int_or("MEMSTRESS_MAX_OUTPUT_BYTES", 4096, 1LL << 31,
-                 static_cast<long long>(config.max_output_bytes)));
-  config.max_connections = static_cast<int>(env_int_or(
-      "MEMSTRESS_MAX_CONNECTIONS", 0, 1 << 22, config.max_connections));
-  config.send_buffer_bytes = static_cast<int>(env_int_or(
-      "MEMSTRESS_SEND_BUFFER_BYTES", 0, 1 << 26, config.send_buffer_bytes));
-  config.cache_entries = static_cast<int>(env_int_or(
-      "MEMSTRESS_CACHE_ENTRIES", 0, 1 << 22, config.cache_entries));
-  config.batch_max = static_cast<int>(
-      env_int_or("MEMSTRESS_BATCH_MAX", 1, 65536, config.batch_max));
-  config.metrics_stream_ms = static_cast<int>(env_int_or(
-      "MEMSTRESS_METRICS_STREAM_MS", 10, 3600000, config.metrics_stream_ms));
-  config.bind_retries = static_cast<int>(
-      env_int_or("MEMSTRESS_BIND_RETRIES", 0, 10000, config.bind_retries));
-  config.bind_retry_ms = static_cast<int>(
-      env_int_or("MEMSTRESS_BIND_RETRY_MS", 1, 60000, config.bind_retry_ms));
-  return config;
-}
 
 std::size_t ensure_fd_budget(std::size_t want) {
   rlimit limit{};
@@ -255,14 +217,6 @@ void Server::start() {
     workers_.emplace_back([this] { worker_loop(); });
   reactor_ = std::thread([this] { reactor_loop(); });
 
-  if (metrics::stream_configured()) {
-    // A configured stream implies the operator wants live numbers: turn
-    // recording on (the env toggle alone would leave every snapshot empty)
-    // and emit one RunReport line per interval until stop().
-    metrics::set_enabled(true);
-    metrics_streamer_ = std::make_unique<metrics::SnapshotStreamer>(
-        config_.metrics_stream_ms, "memstressd");
-  }
   log_info("memstressd: listening on ", config_.address, ":", port_, " (",
            config_.workers, " workers, queue depth ", config_.queue_depth,
            ", up to ", effective_max_connections_, " connections)");
@@ -807,7 +761,6 @@ void Server::stop() {
   wake_fd_ = -1;
   close_fd(epoll_fd_);
   epoll_fd_ = -1;
-  metrics_streamer_.reset();  // emits the final end-of-run snapshot
 }
 
 void Server::serve_until_cancelled() {

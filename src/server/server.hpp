@@ -76,12 +76,12 @@
 #include <vector>
 
 #include "server/service.hpp"
-#include "util/metrics.hpp"
 
 namespace memstress::server {
 
-/// Deployment knobs, each with a MEMSTRESS_* environment override
-/// (from_env(); util/env semantics: invalid values warn once and fall back).
+/// Deployment settings as plain values. memstressd fills them from its
+/// MEMSTRESS_* environment (named per field below); every other host — the
+/// tests, the benches, fleet workers — sets the fields directly.
 struct ServerConfig {
   std::string address = "127.0.0.1";  ///< MEMSTRESS_ADDR
   int port = 0;                       ///< MEMSTRESS_PORT (0 = ephemeral)
@@ -110,21 +110,16 @@ struct ServerConfig {
   /// the fd budget: RLIMIT_NOFILE minus headroom after start() raises the
   /// soft limit to the hard one).
   int max_connections = 0;
-  /// SO_SNDBUF for accepted sockets (MEMSTRESS_SEND_BUFFER_BYTES; 0 keeps
-  /// the kernel default). Tests and the high-concurrency bench shrink it to
-  /// exercise the buffered-write path without megabyte responses.
+  /// SO_SNDBUF for accepted sockets (0 keeps the kernel default). Tests and
+  /// the high-concurrency bench shrink it to exercise the buffered-write
+  /// path without megabyte responses.
   int send_buffer_bytes = 0;
   std::size_t max_frame_bytes = kMaxFrameBytes;  ///< per-line byte cap
-  /// NDJSON metrics snapshot period when MEMSTRESS_METRICS_STREAM is set
-  /// (MEMSTRESS_METRICS_STREAM_MS). The server then also force-enables
-  /// metrics — a stream of empty reports helps nobody.
-  int metrics_stream_ms = 1000;
   /// Result-cache entries (MEMSTRESS_CACHE_ENTRIES, 0 disables the cache).
   int cache_entries = 1024;
   /// Largest accepted batch "requests" list (MEMSTRESS_BATCH_MAX).
   int batch_max = 256;
-  /// Bounded bind retry for EADDRINUSE on a pinned port
-  /// (MEMSTRESS_BIND_RETRIES / MEMSTRESS_BIND_RETRY_MS). A restart can race
+  /// Bounded bind retry for EADDRINUSE on a pinned port. A restart can race
   /// the kernel's release of the old listener even with SO_REUSEADDR (the
   /// old fd may still be closing, or a previous process just exited);
   /// start() retries the bind every bind_retry_ms up to bind_retries times
@@ -132,8 +127,6 @@ struct ServerConfig {
   /// (port == 0) never retry: a fresh bind cannot collide with itself.
   int bind_retries = 20;
   int bind_retry_ms = 50;
-
-  static ServerConfig from_env();
 
   /// The ServiceInfo slice of this configuration, for constructing the
   /// MemstressService the server will front.
@@ -274,9 +267,6 @@ class Server {
   std::thread reactor_;
   std::vector<std::thread> workers_;
   std::mutex stop_mutex_;  ///< serializes stop() against itself
-  /// Periodic NDJSON metrics emitter; null unless MEMSTRESS_METRICS_STREAM
-  /// (or metrics::set_stream_target) configured a target before start().
-  std::unique_ptr<metrics::SnapshotStreamer> metrics_streamer_;
 };
 
 }  // namespace memstress::server

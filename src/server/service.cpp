@@ -23,6 +23,7 @@ MemstressService::MemstressService(
     defects::MtjFabModel mtj_fab)
     : db_(std::move(db)),
       db_crc_(checkpoint::crc32_hex(db_->to_csv())),
+      conditions_(db_->conditions().size()),
       estimator_(db_, std::move(population), fab, mtj_fab),
       sampler_(std::move(sampler)),
       info_(info),
@@ -252,7 +253,7 @@ Json MemstressService::health() const {
   out.set("technology", Json(tech::technology_name(db_->technology())));
   out.set("db_entries", Json(db_->size()));
   out.set("quarantined", Json(db_->quarantine().size()));
-  out.set("conditions", Json(db_->conditions().size()));
+  out.set("conditions", Json(conditions_));
   out.set("workers", Json(info_.workers));
   out.set("queue_depth", Json(info_.queue_depth));
   // Static serving knobs only: live cache occupancy/stats would make two

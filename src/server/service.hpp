@@ -126,9 +126,11 @@ class MemstressService {
   void require_technology(const Json& params) const;
 
   std::shared_ptr<const estimator::DetectabilityDb> db_;
-  /// CRC32 of db_'s CSV, the study_shard guard; the database is immutable,
-  /// so it is computed once.
+  /// CRC32 of db_'s CSV (the study_shard guard) and the count of distinct
+  /// (vdd, period) conditions `health` reports. The database is immutable,
+  /// so both are computed once.
   std::string db_crc_;
+  std::size_t conditions_;
   estimator::FaultCoverageEstimator estimator_;
   defects::DefectSampler sampler_;
   ServiceInfo info_;

@@ -47,14 +47,8 @@ void ShardedLruCache::record(long long Stats::*field,
 
 void ShardedLruCache::insert_locked(Shard& shard, const std::string& key,
                                     std::string value) {
-  const auto hit = shard.map.find(key);
-  if (hit != shard.map.end()) {
-    // A put() raced our compute (or refreshed an entry): adopt the new
-    // value and move it to the front.
-    hit->second->value = std::move(value);
-    shard.lru.splice(shard.lru.begin(), shard.lru, hit->second);
-    return;
-  }
+  // The key is absent: its compute held the in-flight slot, so no other
+  // caller could insert it meanwhile.
   shard.lru.push_front(Entry{key, std::move(value)});
   shard.map[key] = shard.lru.begin();
   while (shard.lru.size() > shard.budget) {
@@ -62,27 +56,6 @@ void ShardedLruCache::insert_locked(Shard& shard, const std::string& key,
     shard.lru.pop_back();
     record(&Stats::evictions, evictions_counter_, shard);
   }
-}
-
-std::optional<std::string> ShardedLruCache::get(const std::string& key) {
-  if (!cache_enabled()) return std::nullopt;
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto hit = shard.map.find(key);
-  if (hit == shard.map.end()) {
-    record(&Stats::misses, misses_counter_, shard);
-    return std::nullopt;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, hit->second);
-  record(&Stats::hits, hits_counter_, shard);
-  return hit->second->value;
-}
-
-void ShardedLruCache::put(const std::string& key, std::string value) {
-  if (!cache_enabled()) return;
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  insert_locked(shard, key, std::move(value));
 }
 
 ShardedLruCache::Result ShardedLruCache::get_or_compute(
@@ -151,14 +124,6 @@ ShardedLruCache::Result ShardedLruCache::get_or_compute(
   }
   flight->cv.notify_all();
   return {std::move(value), Outcome::Computed};
-}
-
-void ShardedLruCache::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->lru.clear();
-    shard->map.clear();
-  }
 }
 
 ShardedLruCache::Stats ShardedLruCache::stats() const {

@@ -32,7 +32,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -73,20 +72,12 @@ class ShardedLruCache {
   /// Return the cached value for `key`, or run `compute` (single-flight)
   /// and cache its result. Exceptions from `compute` propagate to the
   /// caller and to every coalesced waiter; nothing is cached on failure.
+  /// The cache's only entry point; an insert evicts the shard's
+  /// least-recently-used entries when over budget.
   Result get_or_compute(const std::string& key, const ComputeFn& compute);
 
-  /// Plain lookup (counts a hit/miss; refreshes recency on hit).
-  std::optional<std::string> get(const std::string& key);
-
-  /// Insert or refresh an entry (evicts the least-recently-used entries of
-  /// the shard when over budget). No-op when disabled.
-  void put(const std::string& key, std::string value);
-
-  /// Drop every entry (stats are kept; in-flight computations unaffected).
-  void clear();
-
   /// Monotonic event totals since construction. Always recorded, whether or
-  /// not util/metrics is enabled — tests and `health` read these directly.
+  /// not util/metrics is enabled — tests and bench_server read these directly.
   struct Stats {
     long long hits = 0;
     long long misses = 0;     ///< get_or_compute entries that ran compute
@@ -97,7 +88,6 @@ class ShardedLruCache {
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
-  std::size_t shard_count() const { return shards_.size(); }
   bool cache_enabled() const { return capacity_ > 0; }
 
  private:

@@ -438,6 +438,9 @@ struct SnapshotStreamer::Impl {
 
 SnapshotStreamer::SnapshotStreamer(int interval_ms, std::string label) {
   if (!stream_configured()) return;  // no target: spawn nothing
+  // A configured stream means the host wants live numbers: the env toggle
+  // alone would leave every snapshot empty.
+  set_enabled(true);
   impl_ = std::make_unique<Impl>();
   impl_->label = std::move(label);
   Impl* impl = impl_.get();

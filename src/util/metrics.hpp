@@ -173,7 +173,10 @@ bool emit_stream_snapshot(const std::string& label = "");
 
 /// RAII background emitter: one snapshot every `interval_ms` plus a final
 /// one at destruction, so even a short-lived process leaves a complete
-/// stream. No thread is spawned when no target is configured.
+/// stream. With a target configured, construction also turns recording on
+/// (set_enabled(true)); with none, it spawns no thread and changes nothing.
+/// The host owns it: memstressd and `bench_soak --stream` create one; a
+/// bare Server does not stream.
 class SnapshotStreamer {
  public:
   explicit SnapshotStreamer(int interval_ms, std::string label = "");

@@ -118,8 +118,9 @@ TEST(CharacterizeRobust, RetriesFireAndChaosOffIsFree) {
   EXPECT_EQ(clean.to_csv(), baseline_csv());
   EXPECT_TRUE(clean.quarantine().empty());
   for (const auto& c : metrics::collect().counters) {
-    if (c.name == "robust.retries" || c.name == "robust.quarantined_points")
+    if (c.name == "robust.retries" || c.name == "robust.quarantined_points") {
       EXPECT_EQ(c.value, 0) << c.name;
+    }
   }
   metrics::reset();
   metrics::set_enabled(false);

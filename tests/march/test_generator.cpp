@@ -46,7 +46,7 @@ TEST(Generator, CoversTheClassicPanelCompletely) {
 TEST(Generator, GeneratedTestIsMarchConsistent) {
   // The generated test must pass a fault-free memory of any size.
   const GeneratedMarch result = generate_march(classic_fault_panel());
-  for (const auto [rows, cols] : {std::pair{4, 4}, {8, 8}, {3, 5}}) {
+  for (const auto& [rows, cols] : {std::pair{4, 4}, {8, 8}, {3, 5}}) {
     sram::BehavioralSram memory(rows, cols);
     EXPECT_TRUE(run_march(memory, result.test).passed())
         << result.test.to_string();

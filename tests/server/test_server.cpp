@@ -61,6 +61,8 @@ TEST(ServerLoopback, HealthReportsTheDatabase) {
             static_cast<double>(kProtocolVersion));
   EXPECT_EQ(health.at("db_entries").as_number(),
             static_cast<double>(fixture.service->db().size()));
+  EXPECT_EQ(health.at("conditions").as_number(),
+            static_cast<double>(fixture.service->db().conditions().size()));
 }
 
 TEST(ServerLoopback, ResponsesAreByteIdenticalToDirectCalls) {

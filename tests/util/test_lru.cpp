@@ -16,52 +16,43 @@ namespace {
 
 using Outcome = ShardedLruCache::Outcome;
 
-TEST(LruCache, PutThenGetRoundTrips) {
-  ShardedLruCache cache(8);
-  EXPECT_TRUE(cache.cache_enabled());
-  EXPECT_EQ(cache.get("a"), std::nullopt);
-  cache.put("a", "1");
-  cache.put("b", "2");
-  EXPECT_EQ(cache.get("a"), "1");
-  EXPECT_EQ(cache.get("b"), "2");
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LruCache, PutRefreshesExistingValue) {
-  ShardedLruCache cache(8);
-  cache.put("a", "old");
-  cache.put("a", "new");
-  EXPECT_EQ(cache.get("a"), "new");
-  EXPECT_EQ(cache.size(), 1u);
+/// Look `key` up through the cache's one entry point, computing "v-<key>"
+/// on a miss, and return how the lookup was served.
+Outcome touch(ShardedLruCache& cache, const std::string& key) {
+  const auto result =
+      cache.get_or_compute(key, [&] { return "v-" + key; });
+  EXPECT_EQ(result.value, "v-" + key);
+  return result.outcome;
 }
 
 TEST(LruCache, EvictsLeastRecentlyUsedInOrder) {
   // One shard makes the global LRU order the shard order, so the eviction
-  // sequence is fully deterministic.
+  // sequence is fully deterministic. A Hit proves a key is still cached; a
+  // Computed on a key seen before proves it was evicted.
   ShardedLruCache cache(3, /*shards=*/1);
-  cache.put("a", "1");
-  cache.put("b", "2");
-  cache.put("c", "3");
+  EXPECT_TRUE(cache.cache_enabled());
+  EXPECT_EQ(touch(cache, "a"), Outcome::Computed);
+  EXPECT_EQ(touch(cache, "b"), Outcome::Computed);
+  EXPECT_EQ(touch(cache, "c"), Outcome::Computed);
   // Touch "a": "b" becomes the oldest.
-  EXPECT_EQ(cache.get("a"), "1");
-  cache.put("d", "4");
-  EXPECT_EQ(cache.get("b"), std::nullopt);  // evicted
-  EXPECT_EQ(cache.get("a"), "1");
-  EXPECT_EQ(cache.get("c"), "3");
-  EXPECT_EQ(cache.get("d"), "4");
+  EXPECT_EQ(touch(cache, "a"), Outcome::Hit);
+  EXPECT_EQ(touch(cache, "d"), Outcome::Computed);  // evicts "b"
   EXPECT_EQ(cache.stats().evictions, 1);
-  cache.put("e", "5");
-  // "a" was oldest after the touches above ("a","c","d" refreshed in that
-  // order by the gets).
-  EXPECT_EQ(cache.get("a"), std::nullopt);
+  // Order is now d, a, c (newest first): "b" misses and evicts "c".
+  EXPECT_EQ(touch(cache, "b"), Outcome::Computed);
+  EXPECT_EQ(touch(cache, "a"), Outcome::Hit);
+  EXPECT_EQ(touch(cache, "d"), Outcome::Hit);
+  // Order is d, a, b: "c" misses and evicts "b".
+  EXPECT_EQ(touch(cache, "c"), Outcome::Computed);
+  EXPECT_EQ(touch(cache, "a"), Outcome::Hit);
+  EXPECT_EQ(touch(cache, "d"), Outcome::Hit);
+  EXPECT_EQ(cache.stats().evictions, 3);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(LruCache, CapacityZeroBypassesEverything) {
   ShardedLruCache cache(0);
   EXPECT_FALSE(cache.cache_enabled());
-  cache.put("a", "1");
-  EXPECT_EQ(cache.get("a"), std::nullopt);
-  EXPECT_EQ(cache.size(), 0u);
   int computes = 0;
   const auto result = cache.get_or_compute("a", [&] {
     ++computes;
@@ -75,6 +66,7 @@ TEST(LruCache, CapacityZeroBypassesEverything) {
     return std::string("fresh");
   });
   EXPECT_EQ(computes, 2);
+  EXPECT_EQ(cache.size(), 0u);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 0);
   EXPECT_EQ(stats.misses, 0);
@@ -85,15 +77,24 @@ TEST(LruCache, ShardBudgetsSumToCapacity) {
   // to the capacity, so filling with distinct keys never exceeds it.
   ShardedLruCache cache(10);
   EXPECT_EQ(cache.capacity(), 10u);
-  EXPECT_GE(cache.shard_count(), 1u);
   for (int i = 0; i < 200; ++i)
-    cache.put("key-" + std::to_string(i), "v");
+    EXPECT_EQ(touch(cache, "key-" + std::to_string(i)), Outcome::Computed);
   EXPECT_LE(cache.size(), 10u);
+  // Every computed entry is either still cached or was evicted.
+  EXPECT_EQ(cache.stats().evictions,
+            200 - static_cast<long long>(cache.size()));
 }
 
 TEST(LruCache, ShardCountClampedToCapacity) {
+  // 16 shards requested for 2 entries. Unclamped, 14 shards would get a
+  // budget of 0 and evict each insert at once; clamped to 2 shards, each
+  // holds one entry, so a key looked up right after its compute hits.
   ShardedLruCache cache(2, /*shards=*/16);
-  EXPECT_LE(cache.shard_count(), 2u);
+  for (int i = 0; i < 20; ++i) {
+    const std::string key = "key-" + std::to_string(i);
+    EXPECT_EQ(touch(cache, key), Outcome::Computed) << key;
+    EXPECT_EQ(touch(cache, key), Outcome::Hit) << key;
+  }
 }
 
 TEST(LruCache, GetOrComputeCachesAndCountsOutcomes) {
@@ -116,16 +117,6 @@ TEST(LruCache, GetOrComputeCachesAndCountsOutcomes) {
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.coalesced, 0);
-}
-
-TEST(LruCache, ClearDropsEntriesButKeepsStats) {
-  ShardedLruCache cache(8);
-  cache.put("a", "1");
-  EXPECT_EQ(cache.get("a"), "1");
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.get("a"), std::nullopt);
-  EXPECT_EQ(cache.stats().hits, 1);  // survived the clear
 }
 
 TEST(LruCache, MirrorsIntoMetricsCountersWhenPrefixed) {
@@ -188,7 +179,10 @@ TEST(LruSingleFlight, ComputeFailurePropagatesAndPoisonsNothing) {
       cache.get_or_compute("k", [] { return std::string("recovered"); });
   EXPECT_EQ(result.value, "recovered");
   EXPECT_EQ(result.outcome, Outcome::Computed);
-  EXPECT_EQ(cache.get("k"), "recovered");
+  const auto again =
+      cache.get_or_compute("k", [] { return std::string("unused"); });
+  EXPECT_EQ(again.value, "recovered");
+  EXPECT_EQ(again.outcome, Outcome::Hit);
 }
 
 TEST(LruSingleFlight, FailurePropagatesToEveryWaiter) {
@@ -219,7 +213,7 @@ TEST(LruSingleFlight, FailurePropagatesToEveryWaiter) {
   // matters is every caller saw the error and nothing got cached.
   EXPECT_GE(computes.load(), 1);
   EXPECT_EQ(failures.load(), kThreads);
-  EXPECT_EQ(cache.get("doomed"), std::nullopt);
+  EXPECT_EQ(touch(cache, "doomed"), Outcome::Computed);
 }
 
 TEST(LruParallel, HammerSmallCacheFromManyThreads) {
@@ -240,7 +234,6 @@ TEST(LruParallel, HammerSmallCacheFromManyThreads) {
         const auto result =
             cache.get_or_compute(key, [&] { return want; });
         if (result.value != want) wrong_values.fetch_add(1);
-        if (i % 50 == t) cache.clear();
       }
     });
   }

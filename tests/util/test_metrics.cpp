@@ -216,7 +216,7 @@ TEST(MetricsStream, EmitsSelfContainedNdjsonLines) {
 TEST(MetricsStream, StreamerEmitsPeriodicAndFinalSnapshots) {
   MetricsGuard guard;
   const std::string path =
-      ::testing::TempDir() + "metrics_streamer_test.ndjson";
+      ::testing::TempDir() + "snapshot_streamer_test.ndjson";
   std::remove(path.c_str());
   set_stream_target(path);
   counter("test.streamer_counter").add(1);
