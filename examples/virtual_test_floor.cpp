@@ -94,8 +94,8 @@ int run(int argc, char** argv) {
         printed_bitmap = true;
         std::printf("--- datalog: device #%ld, rejected by a stress screen ---\n",
                     d);
-        for (const auto& tag : outcome.defect_tags)
-          std::printf("  defect: %s\n", tag.c_str());
+        for (const auto& defect : defect_list)
+          std::printf("  defect: %s\n", defect.tag().c_str());
         std::printf("  outcomes: VLV=%s Vmax=%s at-speed=%s\n\n",
                     outcome.vlv_fail ? "FAIL" : "pass",
                     outcome.vmax_fail ? "FAIL" : "pass",

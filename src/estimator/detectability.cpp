@@ -87,10 +87,11 @@ const DetectabilityDb::Index& DetectabilityDb::index() const {
       }
     }
     if (!group) {
-      bucket.groups.push_back({e.vdd, e.period, std::log(e.period), {}});
+      bucket.groups.push_back({e.vdd, e.period, std::log(e.period), {}, {}});
       group = &bucket.groups.back();
     }
     group->entry_indices.push_back(i);
+    group->log_resistance.push_back(std::log(e.resistance));
   }
   index_.built = std::move(built);
   index_.ready.store(index_.built.get(), std::memory_order_release);
@@ -113,28 +114,51 @@ bool DetectabilityDb::detected(DefectKind kind, int category, double resistance,
   // corner. The arithmetic (and the first-entry-wins tie-break on equal
   // cost) is kept bit-identical to a linear scan over entries(): the
   // condition term is a lower bound on an entry's total cost, so a whole
-  // group can be skipped once it exceeds the best cost seen.
+  // group can be skipped once it exceeds the best cost seen. Scanning the
+  // nearest group first makes that skip fire for nearly every other group.
+  // The skip is exact and ties go to the lowest entry index, so the order
+  // groups are visited in cannot change the answer.
   const double log_r = std::log(resistance);
   const double log_p = std::log(period);
+  const auto condition_cost = [&](const ConditionGroup& group) {
+    const double dv = (group.vdd - vdd) / 0.05;
+    const double dt = (group.log_period - log_p) / 0.05;
+    return (dv * dv + dt * dt) * 1e6;
+  };
   const DbEntry* best = nullptr;
   double best_cost = std::numeric_limits<double>::infinity();
   std::uint32_t best_index = std::numeric_limits<std::uint32_t>::max();
-  for (const ConditionGroup& group : it->second.groups) {
-    const double dv = (group.vdd - vdd) / 0.05;
-    const double dt = (group.log_period - log_p) / 0.05;
-    const double condition_cost = (dv * dv + dt * dt) * 1e6;
-    if (condition_cost > best_cost) continue;
-    for (const std::uint32_t i : group.entry_indices) {
+  const auto scan = [&](const ConditionGroup& group, double group_cost) {
+    for (std::size_t k = 0; k < group.entry_indices.size(); ++k) {
+      const std::uint32_t i = group.entry_indices[k];
       const DbEntry& e = entries_[i];
-      const double dr = std::log(e.resistance) - log_r;
+      const double dr = group.log_resistance[k] - log_r;
       const double db = (e.vbd - vbd) * 10.0;
-      const double cost = condition_cost + dr * dr + db * db;
+      const double cost = group_cost + dr * dr + db * db;
       if (cost < best_cost || (cost == best_cost && i < best_index)) {
         best_cost = cost;
         best_index = i;
         best = &e;
       }
     }
+  };
+
+  const std::vector<ConditionGroup>& groups = it->second.groups;
+  std::size_t nearest = 0;
+  double nearest_cost = condition_cost(groups[0]);
+  for (std::size_t g = 1; g < groups.size(); ++g) {
+    const double cost = condition_cost(groups[g]);
+    if (cost < nearest_cost) {
+      nearest = g;
+      nearest_cost = cost;
+    }
+  }
+  scan(groups[nearest], nearest_cost);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (g == nearest) continue;
+    const double cost = condition_cost(groups[g]);
+    if (cost > best_cost) continue;
+    scan(groups[g], cost);
   }
   require(best != nullptr, "DetectabilityDb: no entries for this defect class");
   return best->detected;

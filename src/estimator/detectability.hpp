@@ -104,8 +104,12 @@ class DetectabilityDb {
   ///
   /// Served from a lazily built per-(kind, category) index bucketed by
   /// stress condition — O(bucket) instead of O(entries) — and guaranteed to
-  /// return exactly what a linear scan over `entries()` would. Concurrent
-  /// lookups from many threads are safe; `add()` invalidates the index.
+  /// return exactly what a linear scan over `entries()` would. The index
+  /// caches each entry's log-resistance. A lookup scans the condition group
+  /// nearest the query first, then skips every other group whose condition
+  /// cost alone exceeds the best match found; it allocates nothing.
+  /// Concurrent lookups from many threads are safe; `add()` invalidates the
+  /// index.
   bool detected(defects::DefectKind kind, int category, double resistance,
                 double vdd, double period, double vbd = 0.0) const;
   bool detected(const defects::Defect& defect, const sram::StressPoint& at) const;
@@ -135,6 +139,8 @@ class DetectabilityDb {
     double period = 0.0;
     double log_period = 0.0;  ///< cached std::log(period)
     std::vector<std::uint32_t> entry_indices;
+    /// Cached std::log(resistance), parallel to entry_indices.
+    std::vector<double> log_resistance;
   };
   struct Bucket {
     std::vector<ConditionGroup> groups;

@@ -11,6 +11,14 @@
 // searches subsets of candidate (voltage, period) legs for the cheapest
 // schedule that meets a DPM target — and reports the escape/test-time
 // trade-off curve.
+//
+// Every search samples its Monte-Carlo defects once. Each defect is looked
+// up once per candidate leg into a bitmask of the legs that catch it, and
+// the escapes of all 2^k leg subsets are counted from the histogram of
+// those masks. So a search costs spec.monte_carlo_defects draws and k
+// lookups per draw, plus O(k * 2^k) counting in O(2^k) memory, and every
+// subset sees the same defects. The 2^k histogram is why every entry point
+// takes at most 16 legs.
 #pragma once
 
 #include <string>
@@ -46,7 +54,6 @@ struct Schedule {
 };
 
 struct ScheduleSpec {
-  long cells = 256 * 1024;
   double yield = 0.95;
   double target_dpm = 500.0;
   int monte_carlo_defects = 4000;  ///< sampled defects for escape estimation
@@ -54,7 +61,9 @@ struct ScheduleSpec {
 };
 
 /// Estimate the escape fraction of a set of legs by Monte-Carlo sampling
-/// defects from the site population and querying the database.
+/// defects from the site population and querying the database. The same
+/// seed gives bit-equal fractions here and in the two searches below. Throws
+/// Error for more than 16 legs.
 double escape_fraction(const std::vector<TestLeg>& legs,
                        const DetectabilityDb& db,
                        const defects::DefectSampler& sampler,

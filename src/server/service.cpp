@@ -150,14 +150,16 @@ Json MemstressService::dpm(const Json& params) const {
 Json MemstressService::schedule(const Json& params) const {
   require_technology(params);
   estimator::ScheduleSpec spec;
-  spec.cells = params.int_or("cells", spec.cells);
+  // Accepted and range-checked for protocol compatibility; the search
+  // itself does not depend on the memory size.
+  const long long cells = params.int_or("cells", 256 * 1024);
   spec.yield = params.number_or("yield", spec.yield);
   spec.target_dpm = params.number_or("target_dpm", spec.target_dpm);
   spec.monte_carlo_defects = static_cast<int>(
       params.int_or("monte_carlo_defects", spec.monte_carlo_defects));
   spec.seed = static_cast<std::uint64_t>(
       params.int_or("seed", static_cast<long long>(spec.seed)));
-  if (spec.cells <= 0 || spec.yield <= 0.0 || spec.yield > 1.0 ||
+  if (cells <= 0 || spec.yield <= 0.0 || spec.yield > 1.0 ||
       spec.monte_carlo_defects <= 0 || spec.monte_carlo_defects > 1000000)
     throw ProtocolError("schedule spec out of range");
   const estimator::Schedule best = estimator::optimize_schedule(

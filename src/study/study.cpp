@@ -59,7 +59,6 @@ DeviceOutcome evaluate_device(const std::vector<Defect>& defect_list,
   DeviceOutcome outcome;
   outcome.defect_count = static_cast<int>(defect_list.size());
   for (const Defect& defect : defect_list) {
-    outcome.defect_tags.push_back(defect.tag());
     // Standard production test: Vmin / Vnom at the production rate. The
     // paper's Venn treats VLV, Vmax and at-speed as the *stress* screens
     // that interesting devices fail after passing the standard test.

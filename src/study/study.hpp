@@ -62,7 +62,6 @@ struct StudyConfig {
 /// How one device fared across the test suite.
 struct DeviceOutcome {
   int defect_count = 0;
-  std::vector<std::string> defect_tags;
   bool standard_fail = false;  ///< caught by Vmin/Vnom/Vmax at production rate
   bool vlv_fail = false;
   bool vmax_fail = false;      ///< fails the Vmax-only stress screen

@@ -21,4 +21,12 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw Error(message);
 }
 
+/// The same check for a literal message. A string literal binds here rather
+/// than to the overload above, so the passing path builds no std::string:
+/// hot checks (one per RNG draw, DB lookup or solver step) stay
+/// allocation-free, and a message is made only when the check fails.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw Error(message);
+}
+
 }  // namespace memstress

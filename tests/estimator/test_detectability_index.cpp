@@ -111,6 +111,34 @@ TEST(DetectabilityIndex, DuplicateCostEntriesKeepFirstEntryTieBreak) {
             reference_detected(db, DefectKind::Bridge, 1, 1e4, 1.8, 25e-9));
 }
 
+TEST(DetectabilityIndex, EquidistantGroupsKeepLowestEntryTieBreak) {
+  // The 2.5 V and 1.5 V groups sit at the same condition cost from a 2.0 V
+  // query (all three values are exact in binary), and the 2.5 V group is
+  // created first. Entries 1 and 2 tie on total cost, so the lowest index
+  // must win even though the group holding entry 2 comes first: visiting
+  // groups nearest-first must still scan a group whose condition cost
+  // equals the best cost seen.
+  DetectabilityDb db;
+  DbEntry e;
+  e.kind = DefectKind::Bridge;
+  e.category = 0;
+  e.period = 25e-9;
+  e.vdd = 2.5;
+  e.resistance = 1e6;
+  e.detected = false;
+  db.add(e);  // entry 0: creates the 2.5 V group
+  e.vdd = 1.5;
+  e.resistance = 1e4;
+  e.detected = true;
+  db.add(e);  // entry 1
+  e.vdd = 2.5;
+  e.detected = false;
+  db.add(e);  // entry 2
+  EXPECT_TRUE(db.detected(DefectKind::Bridge, 0, 1e4, 2.0, 25e-9));
+  EXPECT_EQ(db.detected(DefectKind::Bridge, 0, 1e4, 2.0, 25e-9),
+            reference_detected(db, DefectKind::Bridge, 0, 1e4, 2.0, 25e-9));
+}
+
 TEST(DetectabilityIndex, AddInvalidatesTheIndex) {
   DetectabilityDb db;
   DbEntry e;

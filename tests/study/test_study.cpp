@@ -122,7 +122,6 @@ TEST(EvaluateDevice, MultipleDefectsCombine) {
   EXPECT_FALSE(out.standard_fail);
   EXPECT_TRUE(out.interesting());
   EXPECT_EQ(out.defect_count, 2);
-  EXPECT_EQ(out.defect_tags.size(), 2u);
 }
 
 TEST(VennCounts, TotalsAndRendering) {
