@@ -22,7 +22,7 @@
 //   --kill-resume  periodically stop the server, wait, restart it on the
 //                  same port; clients must ride through the outage
 //   --churn N      each client drops its connection every N requests
-//   --stream PATH  NDJSON metrics feed (same sink as
+//   --stream PATH  NDJSON metrics feed (the line format of memstressd's
 //                  MEMSTRESS_METRICS_STREAM); per-type soak latencies are
 //                  mirrored into the streamed histograms live
 //
@@ -72,7 +72,7 @@ struct SoakOptions {
   bool kill_resume = false;
   int churn = 0;  // disconnect every N requests per client (0 = never)
   std::uint64_t seed = 1;
-  std::string stream;  // NDJSON metrics target ("" = env default / off)
+  std::string stream;  // NDJSON metrics target ("" = off)
 };
 
 // Restartable fixture: the first start() binds an ephemeral port which is
@@ -320,10 +320,9 @@ long count_lines(const std::string& path) {
 int run_soak(const SoakOptions& opt) {
   // Arm the NDJSON metrics feed before the server starts. The streamer
   // turns metrics on and rides through every kill/resume cycle; it is a
-  // no-op when no target is configured.
-  if (!opt.stream.empty()) metrics::set_stream_target(opt.stream);
-  auto streamer =
-      std::make_unique<metrics::SnapshotStreamer>(500, "memstressd");
+  // no-op without --stream.
+  auto streamer = std::make_unique<metrics::SnapshotStreamer>(
+      opt.stream, 500, "memstressd");
   if (opt.chaos_rate > 0.0) chaos::configure(opt.chaos_rate, opt.seed);
 
   server::ServerConfig config;

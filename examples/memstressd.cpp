@@ -36,7 +36,9 @@
 //                                 sram6t (default), stt_mram or undervolt
 //   MEMSTRESS_METRICS_STREAM      NDJSON metrics feed (<path|fd>): turns
 //                                 metrics on and appends one snapshot per
-//                                 second plus a final one at shutdown
+//                                 second plus a final one at shutdown. Read
+//                                 here and handed to the SnapshotStreamer;
+//                                 the library reads no stream variable
 //
 // Usage: ./build/examples/memstressd [db_cache_path]
 #include <cstdio>
@@ -121,7 +123,8 @@ int run(int argc, char** argv) {
 
   // Declared before the server so it outlives the drain: its destructor
   // writes the final snapshot after stop() has answered every request.
-  const metrics::SnapshotStreamer streamer(1000, "memstressd");
+  const metrics::SnapshotStreamer streamer(
+      env_string_or("MEMSTRESS_METRICS_STREAM", ""), 1000, "memstressd");
   server::Server daemon(server_config, service);
   daemon.start();
   std::printf("memstressd: listening on %s:%d (%d workers, queue depth %d)\n",

@@ -33,8 +33,11 @@ std::string VennCounts::render() const {
 std::string StudyResult::summary() const {
   std::ostringstream out;
   out << "Devices tested: " << devices << "\n";
-  out << "Defective: " << defective << " (yield "
-      << 100.0 * (devices - defective) / devices << "%)\n";
+  out << "Defective: " << defective;
+  // No resolved device (every coordinator shard unresolved): no yield.
+  if (devices > 0)
+    out << " (yield " << 100.0 * (devices - defective) / devices << "%)";
+  out << "\n";
   out << "Failing the standard production test: " << standard_fails << "\n";
   out << "Interesting (pass standard, fail a stress condition): "
       << venn.total() << "\n";

@@ -308,66 +308,11 @@ std::string RunReport::to_table() const {
 
 namespace {
 
-/// Resolved stream target. `fd` is -1 when unconfigured; `owned` says
-/// whether close() is ours (paths yes, inherited numeric fds no).
-struct StreamState {
-  std::mutex mutex;
-  std::string target;     // as configured, for diagnostics
-  int fd = -1;
-  bool owned = false;
-  bool env_loaded = false;
-  bool write_failed_warned = false;
-  long long seq = 0;
-  std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
-};
-
-StreamState& stream_state() {
-  static StreamState s;
-  return s;
-}
-
 bool all_digits(const std::string& text) {
   if (text.empty()) return false;
   for (const char c : text)
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   return true;
-}
-
-/// Open `target` (must be called with the state mutex held). Failures warn
-/// and leave the stream unconfigured — observability must never take the
-/// process down.
-void open_target_locked(StreamState& state, const std::string& target) {
-  if (state.fd >= 0 && state.owned) ::close(state.fd);
-  state.fd = -1;
-  state.owned = false;
-  state.target = target;
-  state.write_failed_warned = false;
-  state.seq = 0;  // lines are numbered per target, starting at 1
-  if (target.empty()) return;
-  if (all_digits(target) && target.size() <= 9) {
-    state.fd = std::stoi(target);
-    state.owned = false;
-    return;
-  }
-  const int fd =
-      ::open(target.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    log_warn("metrics: cannot open MEMSTRESS_METRICS_STREAM target \"",
-             target, "\"; stream disabled");
-    return;
-  }
-  state.fd = fd;
-  state.owned = true;
-}
-
-/// Lazily pick up the environment target exactly once (programmatic
-/// set_stream_target wins by setting env_loaded first).
-void ensure_env_loaded_locked(StreamState& state) {
-  if (state.env_loaded) return;
-  state.env_loaded = true;
-  const std::string target = env_string_or("MEMSTRESS_METRICS_STREAM", "");
-  if (!target.empty()) open_target_locked(state, target);
 }
 
 bool write_line(int fd, const std::string& line) {
@@ -386,76 +331,82 @@ bool write_line(int fd, const std::string& line) {
 
 }  // namespace
 
-bool stream_configured() {
-  StreamState& state = stream_state();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  ensure_env_loaded_locked(state);
-  return state.fd >= 0;
-}
-
-void set_stream_target(const std::string& target) {
-  StreamState& state = stream_state();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.env_loaded = true;  // programmatic choice overrides the env
-  open_target_locked(state, target);
-}
-
-bool emit_stream_snapshot(const std::string& label) {
-  // Collect outside the stream lock: collect() takes the registry lock and
-  // instrumented code paths must never wait on a slow stream write.
-  const std::string report = collect().to_json();
-  StreamState& state = stream_state();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  ensure_env_loaded_locked(state);
-  if (state.fd < 0) return false;
-  const long long uptime_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - state.start)
-          .count();
-  std::string line = "{\"stream\":\"metrics\",\"seq\":" +
-                     std::to_string(++state.seq) +
-                     ",\"uptime_ms\":" + std::to_string(uptime_ms);
-  if (!label.empty()) line += ",\"label\":" + json_string(label);
-  line += ",\"report\":" + report + "}\n";
-  if (!write_line(state.fd, line)) {
-    if (!state.write_failed_warned) {
-      state.write_failed_warned = true;
-      log_warn("metrics: write to MEMSTRESS_METRICS_STREAM target \"",
-               state.target, "\" failed; further failures are silent");
-    }
-    return false;
-  }
-  return true;
-}
-
 struct SnapshotStreamer::Impl {
+  std::string target;  // as given, for diagnostics
+  int fd = -1;
+  bool owned = false;  // close() is ours for paths, not for inherited fds
+  std::string label;
+  // Touched only by the emitting thread, then by the destructor after join.
+  long long seq = 0;  // lines are numbered per streamer, starting at 1
+  bool write_failed_warned = false;
+  const std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
+
   std::mutex mutex;
   std::condition_variable wake;
   bool stop = false;
-  std::string label;
   std::thread thread;
+
+  ~Impl() {
+    if (owned) ::close(fd);
+  }
+
+  /// Append one snapshot line. collect() takes the registry lock, and no
+  /// lock of ours is held while collecting or writing, so instrumented code
+  /// never waits on a slow stream write.
+  void emit() {
+    const std::string report = collect().to_json();
+    const long long uptime_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    std::string line = "{\"stream\":\"metrics\",\"seq\":" +
+                       std::to_string(++seq) +
+                       ",\"uptime_ms\":" + std::to_string(uptime_ms);
+    if (!label.empty()) line += ",\"label\":" + json_string(label);
+    line += ",\"report\":" + report + "}\n";
+    if (!write_line(fd, line) && !write_failed_warned) {
+      write_failed_warned = true;
+      log_warn("metrics: write to stream target \"", target,
+               "\" failed; further failures are silent");
+    }
+  }
 };
 
-SnapshotStreamer::SnapshotStreamer(int interval_ms, std::string label) {
-  if (!stream_configured()) return;  // no target: spawn nothing
-  // A configured stream means the host wants live numbers: the env toggle
-  // alone would leave every snapshot empty.
+SnapshotStreamer::SnapshotStreamer(const std::string& target, int interval_ms,
+                                   std::string label) {
+  if (target.empty()) return;  // no target: spawn nothing
+  auto impl = std::make_unique<Impl>();
+  if (all_digits(target) && target.size() <= 9) {
+    impl->fd = std::stoi(target);
+  } else {
+    impl->fd = ::open(target.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    // Observability must never take the process down: warn, stream nothing.
+    if (impl->fd < 0) {
+      log_warn("metrics: cannot open stream target \"", target,
+               "\"; stream disabled");
+      return;
+    }
+    impl->owned = true;
+  }
+  impl->target = target;
+  impl->label = std::move(label);
+  // A live stream means the host wants live numbers: the env toggle alone
+  // would leave every snapshot empty.
   set_enabled(true);
-  impl_ = std::make_unique<Impl>();
-  impl_->label = std::move(label);
-  Impl* impl = impl_.get();
   const auto interval =
       std::chrono::milliseconds(std::max(interval_ms, 10));
-  impl->thread = std::thread([impl, interval] {
+  impl->thread = std::thread([impl = impl.get(), interval] {
     std::unique_lock<std::mutex> lock(impl->mutex);
     for (;;) {
       if (impl->wake.wait_for(lock, interval, [impl] { return impl->stop; }))
         return;
       lock.unlock();
-      emit_stream_snapshot(impl->label);
+      impl->emit();
       lock.lock();
     }
   });
+  impl_ = std::move(impl);
 }
 
 SnapshotStreamer::~SnapshotStreamer() {
@@ -467,7 +418,7 @@ SnapshotStreamer::~SnapshotStreamer() {
   impl_->wake.notify_all();
   impl_->thread.join();
   // Final frame so a consumer always sees the end-of-run totals.
-  emit_stream_snapshot(impl_->label);
+  impl_->emit();
 }
 
 }  // namespace memstress::metrics

@@ -150,36 +150,29 @@ RunReport collect();
 // ---------------------------------------------------------------------------
 // NDJSON metrics stream: periodic RunReport snapshots a dashboard can tail.
 //
-// The target is MEMSTRESS_METRICS_STREAM=<path|fd> (a file opened in append
-// mode, or a numeric file descriptor the process inherited), read once at
-// first use; set_stream_target() overrides it programmatically. Each
-// emitted line is one self-contained JSON document:
+// The host that wants a stream owns it by constructing a SnapshotStreamer
+// with its target: memstressd passes its MEMSTRESS_METRICS_STREAM value,
+// `bench_soak --stream PATH` its path. The library reads no stream
+// environment variable, and a bare Server does not stream. Each emitted
+// line is one self-contained JSON document:
 //   {"stream":"metrics","seq":N,"uptime_ms":M,"label":"...","report":{...}}
 // so `tail -f` piped into any NDJSON consumer sees complete frames. The
 // stream is additive observability: nothing in the library changes behavior
 // because a stream is attached.
 
-/// True when a stream target is configured (env or programmatic).
-bool stream_configured();
-
-/// Override MEMSTRESS_METRICS_STREAM: a path, a numeric fd, or "" to
-/// disable. Replaces (and closes, when owned) any previous target.
-void set_stream_target(const std::string& target);
-
-/// Append one snapshot line to the stream. Returns false when no target is
-/// configured or the write failed (warn-once). `label` tags the line so
-/// multi-phase runs (e.g. bench_soak's load vs drain phases) are separable.
-bool emit_stream_snapshot(const std::string& label = "");
-
 /// RAII background emitter: one snapshot every `interval_ms` plus a final
 /// one at destruction, so even a short-lived process leaves a complete
-/// stream. With a target configured, construction also turns recording on
-/// (set_enabled(true)); with none, it spawns no thread and changes nothing.
-/// The host owns it: memstressd and `bench_soak --stream` create one; a
-/// bare Server does not stream.
+/// stream. `target` is a path (opened in append mode), a numeric file
+/// descriptor the process inherited (never closed here), or "" for no
+/// stream. `seq` counts from 1 per streamer, and `label` tags every line so
+/// multi-phase runs are separable. A live stream also turns recording on
+/// (set_enabled(true)). With no target, or one that fails to open (warned
+/// once), it spawns no thread and changes nothing; a failed write warns once
+/// and the stream carries on.
 class SnapshotStreamer {
  public:
-  explicit SnapshotStreamer(int interval_ms, std::string label = "");
+  SnapshotStreamer(const std::string& target, int interval_ms,
+                   std::string label = "");
   ~SnapshotStreamer();
   SnapshotStreamer(const SnapshotStreamer&) = delete;
   SnapshotStreamer& operator=(const SnapshotStreamer&) = delete;

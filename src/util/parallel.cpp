@@ -1,9 +1,10 @@
 #include "util/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <cstdlib>
+#include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,170 +24,83 @@ int resolve_thread_count(int requested) {
   return requested >= 1 ? requested : default_thread_count();
 }
 
-struct ThreadPool::Impl {
-  std::mutex mutex;
-  std::condition_variable start_cv;
-  std::condition_variable done_cv;
-  std::vector<std::thread> workers;
+void parallel_for(std::size_t count,
+                  const std::function<void(std::size_t)>& body, int threads,
+                  const CancelToken* cancel) {
+  static metrics::Counter& jobs = metrics::counter("parallel.jobs");
+  static metrics::Counter& tasks = metrics::counter("parallel.tasks");
+  jobs.add(1);
+  tasks.add(static_cast<long long>(count));
 
-  // Job state, guarded by `mutex` except where noted.
-  std::uint64_t generation = 0;
-  bool stopping = false;
-  std::size_t count = 0;
-  const std::function<void(std::size_t)>* body = nullptr;
-  const CancelToken* cancel = nullptr;
-  /// Caller's current trace span, adopted by every worker for the job so
-  /// spans opened inside task bodies nest exactly as they would serially.
-  void* span_context = nullptr;
   std::atomic<std::size_t> cursor{0};
-  /// Tripped on the first body exception. Parking the cursor alone only
-  /// stops *claiming*; this flag also stops already-claimed tasks from
-  /// *executing*, bounding post-failure work to at most one task per worker.
+  // Tripped on the first body exception (or a failed spawn). It stops
+  // claims, and it stops claimed-but-unstarted tasks from executing, which
+  // bounds post-failure work to at most one task per thread.
   std::atomic<bool> abandon{false};
-  /// Set when a worker observed an external cancellation request.
+  // Set when a thread observed an external cancellation request.
   std::atomic<bool> saw_cancel{false};
-  int active = 0;
+  std::mutex error_mutex;
   std::exception_ptr error;
 
-  void worker_loop() {
-    std::uint64_t seen_generation = 0;
+  // The claim loop every thread runs, the caller included. Claiming before
+  // the cancel check means an empty range never throws, even when a token
+  // has already tripped.
+  const auto claim_loop = [&] {
     for (;;) {
-      std::size_t job_count = 0;
-      const std::function<void(std::size_t)>* job_body = nullptr;
-      const CancelToken* job_cancel = nullptr;
-      void* job_span_context = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        start_cv.wait(lock, [&] {
-          return stopping || generation != seen_generation;
-        });
-        if (stopping) return;
-        seen_generation = generation;
-        job_count = count;
-        job_body = body;
-        job_cancel = cancel;
-        job_span_context = span_context;
+      if (abandon.load(std::memory_order_relaxed)) return;
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count || abandon.load(std::memory_order_relaxed)) return;
+      if (cancel::requested(cancel)) {
+        saw_cancel.store(true, std::memory_order_relaxed);
+        return;
       }
-      trace::ContextGuard span_guard(job_span_context);
-      for (;;) {
-        if (abandon.load(std::memory_order_relaxed)) break;
-        if (cancel::requested(job_cancel)) {
-          saw_cancel.store(true, std::memory_order_relaxed);
-          break;
-        }
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= job_count) break;
-        if (abandon.load(std::memory_order_relaxed)) break;
-        try {
-          (*job_body)(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (!error) error = std::current_exception();
-          // Abandon the rest of the range: park the cursor (stops claims)
-          // and trip the flag (stops claimed-but-unstarted tasks).
-          cursor.store(job_count, std::memory_order_relaxed);
-          abandon.store(true, std::memory_order_relaxed);
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (--active == 0) done_cv.notify_all();
+      try {
+        body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+        abandon.store(true, std::memory_order_relaxed);
       }
     }
-  }
-};
+  };
 
-ThreadPool::ThreadPool(int threads) : threads_(resolve_thread_count(threads)) {
-  if (threads_ == 1) return;  // serial fallback: no workers, no Impl
-  impl_ = new Impl;
-  impl_->workers.reserve(static_cast<std::size_t>(threads_));
-  for (int t = 0; t < threads_; ++t)
-    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  if (!impl_) return;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->stopping = true;
+  // The caller is one of the threads, and no thread starts without a task.
+  const auto thread_count =
+      static_cast<std::size_t>(resolve_thread_count(threads));
+  const std::size_t worker_count =
+      count > 1 ? std::min(thread_count, count) - 1 : 0;
+  if (worker_count == 0) {
+    claim_loop();
+  } else {
+    // Every thread adopts the caller's span, so task spans nest under it
+    // as fan-out nodes.
+    void* const span_context = trace::current_context();
+    const auto traced_loop = [&] {
+      trace::ContextGuard span_guard(span_context);
+      claim_loop();
+    };
+    std::vector<std::thread> workers;
+    workers.reserve(worker_count);
+    try {
+      for (std::size_t t = 0; t < worker_count; ++t)
+        workers.emplace_back(traced_loop);
+    } catch (...) {
+      abandon.store(true, std::memory_order_relaxed);
+      for (std::thread& worker : workers) worker.join();
+      throw;
+    }
+    traced_loop();
+    for (std::thread& worker : workers) worker.join();
   }
-  impl_->start_cv.notify_all();
-  for (auto& worker : impl_->workers) worker.join();
-  delete impl_;
-}
 
-namespace {
-
-/// Serial inline loop shared by the 1-thread fallbacks: identical exception
-/// behaviour to a plain for loop, plus the same cancellation points as the
-/// pooled path.
-void serial_for(std::size_t count, const std::function<void(std::size_t)>& body,
-                const CancelToken* cancel) {
-  for (std::size_t i = 0; i < count; ++i) {
-    if (cancel::requested(cancel))
-      throw CancelledError("parallel_for: cancelled at task " +
-                           std::to_string(i) + "/" + std::to_string(count));
-    body(i);
-  }
-}
-
-}  // namespace
-
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body,
-                              const CancelToken* cancel) {
-  {
-    static metrics::Counter& jobs = metrics::counter("parallel.jobs");
-    static metrics::Counter& tasks = metrics::counter("parallel.tasks");
-    jobs.add(1);
-    tasks.add(static_cast<long long>(count));
-  }
-  if (!impl_ || count <= 1) {
-    serial_for(count, body, cancel);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->count = count;
-    impl_->body = &body;
-    impl_->cancel = cancel;
-    impl_->span_context = trace::current_context();
-    impl_->cursor.store(0, std::memory_order_relaxed);
-    impl_->abandon.store(false, std::memory_order_relaxed);
-    impl_->saw_cancel.store(false, std::memory_order_relaxed);
-    impl_->error = nullptr;
-    impl_->active = threads_;
-    ++impl_->generation;
-  }
-  impl_->start_cv.notify_all();
-  std::unique_lock<std::mutex> lock(impl_->mutex);
-  impl_->done_cv.wait(lock, [&] { return impl_->active == 0; });
-  if (impl_->error) std::rethrow_exception(impl_->error);
-  if (impl_->saw_cancel.load(std::memory_order_relaxed)) {
+  if (error) std::rethrow_exception(error);
+  if (saw_cancel.load(std::memory_order_relaxed)) {
     static metrics::Counter& cancelled =
         metrics::counter("parallel.cancelled_jobs");
     cancelled.add(1);
     throw CancelledError("parallel_for: job cancelled before completing " +
                          std::to_string(count) + " tasks");
   }
-}
-
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body, int threads,
-                  const CancelToken* cancel) {
-  const int resolved = resolve_thread_count(threads);
-  if (resolved == 1 || count <= 1) {
-    // Serial inline path: account the job the same way the pool does so
-    // parallel.* counters are invariant across MEMSTRESS_THREADS.
-    static metrics::Counter& jobs = metrics::counter("parallel.jobs");
-    static metrics::Counter& tasks = metrics::counter("parallel.tasks");
-    jobs.add(1);
-    tasks.add(static_cast<long long>(count));
-    serial_for(count, body, cancel);
-    return;
-  }
-  ThreadPool pool(resolved);
-  pool.parallel_for(count, body, cancel);
 }
 
 }  // namespace memstress

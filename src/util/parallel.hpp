@@ -1,25 +1,30 @@
-// Minimal work-sharing primitives for the embarrassingly parallel layers
+// The one work-sharing primitive for the embarrassingly parallel layers
 // (characterization grid points, Monte-Carlo devices).
 //
 // Design rules that every user of this module relies on:
-//   * Determinism is the caller's job and the pool makes it easy: tasks are
-//     identified by index, so callers write results into pre-sized slots and
-//     reduce in index order afterwards. Nothing here depends on completion
-//     order.
-//   * Thread count 1 is a true serial fallback — the body runs inline on the
-//     calling thread, no workers are spawned, and behaviour (including
-//     exception propagation) is identical to a plain for loop.
+//   * Determinism is the caller's job and parallel_for makes it easy: tasks
+//     are identified by index, so callers write results into pre-sized slots
+//     and reduce in index order afterwards. Nothing here depends on
+//     completion order.
+//   * One code path at every thread count. The calling thread runs tasks
+//     beside min(threads, count) - 1 workers that the call starts and joins
+//     before it returns; there is no pool object. At 1 thread (or count
+//     <= 1) no worker starts and the body runs inline on the caller, in
+//     index order, like a plain for loop.
 //   * The default thread count honours the MEMSTRESS_THREADS environment
 //     variable, falling back to std::thread::hardware_concurrency().
 //     Invalid values (garbage, <= 0, > 4096) select the hardware default
 //     with a logged warning (util/env).
 //   * Observability: every parallel_for accounts one `parallel.jobs` and
-//     `count` `parallel.tasks` (util/metrics) and propagates the caller's
-//     trace span to the workers, so spans opened inside task bodies nest
-//     under the launching span at any thread count.
-//   * Fail-fast and cancellation: after the first task exception, workers
+//     `count` `parallel.tasks`, and a cancelled one also one
+//     `parallel.cancelled_jobs` (util/metrics), at every thread count, so
+//     the `parallel.*` counters are invariant across MEMSTRESS_THREADS. When
+//     workers start, every thread (the caller included) adopts the caller's
+//     trace span, so spans opened inside task bodies nest under the
+//     launching span as fan-out nodes.
+//   * Fail-fast and cancellation: after the first task exception, threads
 //     stop claiming AND stop executing — at most one already-claimed task
-//     per worker runs after the throw. Every task boundary also checks the
+//     per thread runs after the throw. Every task boundary also checks the
 //     optional job CancelToken and the process-wide SIGINT token
 //     (util/cancel); an externally cancelled job quiesces and throws
 //     CancelledError from parallel_for (a body exception takes precedence).
@@ -41,39 +46,14 @@ int default_thread_count();
 /// 0 (or negative) means "use default_thread_count()".
 int resolve_thread_count(int requested);
 
-/// Fixed-size pool of workers executing indexed task ranges. One job runs at
-/// a time; parallel_for blocks the caller until the whole range is done, so
-/// the pool is reusable but not reentrant.
-class ThreadPool {
- public:
-  /// threads <= 0 selects default_thread_count().
-  explicit ThreadPool(int threads = 0);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int thread_count() const { return threads_; }
-
-  /// Run body(i) for every i in [0, count). Indices are claimed dynamically
-  /// (an atomic cursor), so uneven task costs balance across workers. If any
-  /// body throws, remaining tasks are abandoned (claimed-but-unstarted tasks
-  /// included) and the first exception is rethrown here after all workers
-  /// quiesce. When `cancel` (or the process SIGINT token) trips, workers
-  /// stop at the next task boundary and CancelledError is thrown instead.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& body,
-                    const CancelToken* cancel = nullptr);
-
- private:
-  struct Impl;
-  Impl* impl_ = nullptr;  ///< null for the serial (1-thread) fallback
-  int threads_ = 1;
-};
-
-/// One-shot convenience: serial inline loop when the resolved thread count is
-/// 1 (or count <= 1), otherwise a transient pool. The per-call pool setup is
-/// microseconds — negligible against the coarse-grained jobs this library
-/// fans out.
+/// Run body(i) for every i in [0, count) on resolve_thread_count(threads)
+/// threads, the caller included, and return when the range is done.
+/// Indices are claimed dynamically (an atomic cursor), so uneven task costs
+/// balance across threads. If any body throws, the rest of the range is
+/// abandoned and the first exception is rethrown here after every worker
+/// has been joined. When `cancel` (or the process SIGINT token) trips,
+/// threads stop at the next task boundary and CancelledError is thrown
+/// instead. An empty range never throws.
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   int threads = 0, const CancelToken* cancel = nullptr);

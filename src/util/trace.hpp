@@ -5,11 +5,12 @@
 // whose path is (current span's path, name). Identical paths aggregate:
 // entering "estimator.characterize" twice yields one node with count 2.
 //
-// Nesting across threads: spans started on a pool worker attach to whatever
-// span was current on the thread that *launched* the job. util/parallel
-// captures current_context() in parallel_for and installs it on each worker
-// via ContextGuard, so a span opened inside a task body lands under the
-// caller's span exactly as it would serially. Such a span is marked
+// Nesting across threads: spans started on a parallel_for worker attach to
+// whatever span was current on the thread that *launched* the job.
+// util/parallel captures current_context() in parallel_for and installs it
+// via ContextGuard on every thread that runs tasks, the caller included, so
+// a span opened inside a task body lands under the caller's span exactly as
+// it would serially. Such a span is marked
 // fan-out: its time is summed across the workers, so it is busy time, not
 // a share of its parent's wall time.
 //
@@ -44,8 +45,8 @@ class Span {
 void* current_context();
 
 /// Installs a captured context as this thread's current span for the guard's
-/// lifetime (used by the thread pool around each job). Spans entered while a
-/// guard is active are marked fan-out.
+/// lifetime (used by parallel_for on every thread of a fanned-out job). Spans
+/// entered while a guard is active are marked fan-out.
 class ContextGuard {
  public:
   explicit ContextGuard(void* context);

@@ -4,6 +4,7 @@
 // it runs in a 1-device shard or the whole population at once.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "defects/sampler.hpp"
@@ -117,6 +118,20 @@ TEST(StudyRange, UnresolvedDevicesAreExcludedFromEveryTally) {
   EXPECT_LE(partial.defective, full.defective);
   // Re-filling the holes restores the full result exactly.
   expect_equal(reduce_study(config, masks), full);
+}
+
+TEST(StudyRange, NoResolvedDeviceSummarizesWithoutAYield) {
+  // A coordinator run whose every shard was unresolved reduces to zero
+  // devices; its summary must not divide by them.
+  const StudyResult none =
+      reduce_study(small_config(), std::vector<int>(400, -1));
+  EXPECT_EQ(none.devices, 0);
+  const std::string summary = none.summary();
+  EXPECT_NE(summary.find("Devices tested: 0\nDefective: 0\n"),
+            std::string::npos)
+      << summary;
+  EXPECT_EQ(summary.find("nan"), std::string::npos) << summary;
+  EXPECT_EQ(summary.find("yield"), std::string::npos) << summary;
 }
 
 TEST(StudyRange, RejectsBadBoundsAndMaskCounts) {

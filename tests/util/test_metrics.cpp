@@ -64,9 +64,29 @@ TEST(MetricsCounters, HandleSurvivesReset) {
 TEST(MetricsThreaded, CountsAreExactUnderContention) {
   MetricsGuard guard;
   Counter& c = counter("test.threaded_exact");
-  ThreadPool pool(8);
-  pool.parallel_for(10000, [&](std::size_t) { c.add(1); });
+  parallel_for(10000, [&](std::size_t) { c.add(1); }, 8);
   EXPECT_EQ(c.value(), 10000);
+}
+
+TEST(MetricsThreaded, CancelledJobsCountedAtEveryThreadCount) {
+  MetricsGuard guard;
+  Counter& cancelled = counter("parallel.cancelled_jobs");
+  for (const int threads : {1, 4}) {
+    reset();
+    CancelToken token;
+    EXPECT_THROW(parallel_for(64,
+                              [&](std::size_t i) {
+                                if (i == 3) token.request_cancel();
+                                // Later tasks hold their thread until the
+                                // trip, so a claim always sees the token
+                                // before the range runs out.
+                                while (i > 3 && !token.cancelled())
+                                  std::this_thread::yield();
+                              },
+                              threads, &token),
+                 CancelledError);
+    EXPECT_EQ(cancelled.value(), 1) << threads << " threads";
+  }
 }
 
 TEST(MetricsThreaded, TotalsInvariantAcrossThreadCounts) {
@@ -185,31 +205,40 @@ TEST(MetricsReport, JsonHistogramsCarryQuantileFields) {
   EXPECT_NE(json.find("\"p999\":"), std::string::npos);
 }
 
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
 TEST(MetricsStream, EmitsSelfContainedNdjsonLines) {
   MetricsGuard guard;
   const std::string path =
       ::testing::TempDir() + "metrics_stream_test.ndjson";
   std::remove(path.c_str());
-  set_stream_target(path);
-  ASSERT_TRUE(stream_configured());
   counter("test.stream_counter").add(3);
-  EXPECT_TRUE(emit_stream_snapshot("phase-a"));
-  EXPECT_TRUE(emit_stream_snapshot());
-  set_stream_target("");  // disable + close
-  EXPECT_FALSE(stream_configured());
-  EXPECT_FALSE(emit_stream_snapshot());
+  // A 60-s interval never ticks here: each streamer writes only its final
+  // snapshot, numbered from 1.
+  { SnapshotStreamer labelled(path, 60000, "phase-a"); }
+  { SnapshotStreamer unlabelled(path, 60000); }
+  // No target: nothing is opened or written, and recording stays as it was.
+  set_enabled(false);
+  { SnapshotStreamer none("", 60000, "phase-b"); }
+  EXPECT_FALSE(enabled());
+  set_enabled(true);
 
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
+  const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[0].find("{\"stream\":\"metrics\",\"seq\":1,"),
             std::string::npos);
   EXPECT_NE(lines[0].find("\"label\":\"phase-a\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"test.stream_counter\":3"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"seq\":2,"), std::string::npos);
+  EXPECT_NE(lines[1].find("{\"stream\":\"metrics\",\"seq\":1,"),
+            std::string::npos);
   EXPECT_EQ(lines[1].find("\"label\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"test.stream_counter\":3"), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -218,24 +247,19 @@ TEST(MetricsStream, StreamerEmitsPeriodicAndFinalSnapshots) {
   const std::string path =
       ::testing::TempDir() + "snapshot_streamer_test.ndjson";
   std::remove(path.c_str());
-  set_stream_target(path);
   counter("test.streamer_counter").add(1);
   {
-    SnapshotStreamer streamer(20, "soak");
+    SnapshotStreamer streamer(path, 20, "soak");
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
   }  // destructor emits the final snapshot
-  set_stream_target("");
 
-  std::ifstream in(path);
-  std::string line;
-  std::size_t count = 0;
-  while (std::getline(in, line)) {
+  const std::vector<std::string> lines = read_lines(path);
+  for (const std::string& line : lines) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
     EXPECT_NE(line.find("\"label\":\"soak\""), std::string::npos);
-    ++count;
   }
-  EXPECT_GE(count, 2u);  // at least one periodic tick plus the final one
+  EXPECT_GE(lines.size(), 2u);  // at least one periodic tick plus the final one
   std::remove(path.c_str());
 }
 

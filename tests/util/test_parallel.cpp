@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -62,54 +65,62 @@ TEST(ParallelConfig, NonPositiveEnvFallsBackToHardware) {
   EXPECT_GE(default_thread_count(), 1);
 }
 
-TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
+TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   constexpr std::size_t kCount = 1000;
   std::vector<std::atomic<int>> hits(kCount);
-  ThreadPool pool(4);
-  pool.parallel_for(kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for(kCount, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(ThreadPool, ReusableAcrossJobs) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 5; ++round) {
-    std::atomic<long> sum{0};
-    pool.parallel_for(100, [&](std::size_t i) {
-      sum.fetch_add(static_cast<long>(i));
-    });
-    EXPECT_EQ(sum.load(), 99 * 100 / 2);
-  }
-}
-
-TEST(ThreadPool, SerialFallbackRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.thread_count(), 1);
+TEST(ParallelFor, SerialFallbackRunsInline) {
   const auto caller = std::this_thread::get_id();
   std::vector<std::thread::id> seen(8);
-  pool.parallel_for(8, [&](std::size_t i) { seen[i] = std::this_thread::get_id(); });
+  parallel_for(8, [&](std::size_t i) { seen[i] = std::this_thread::get_id(); },
+               1);
   for (const auto& id : seen) EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPool, EmptyAndSingleRangesWork) {
-  ThreadPool pool(4);
+TEST(ParallelFor, CallerRunsTasksBesideThreadsMinusOneWorkers) {
+  // Each task holds its thread until all four have started, so the four
+  // tasks need four threads at once: three workers and the caller.
+  constexpr std::size_t kThreads = 4;
+  std::mutex mutex;
+  std::condition_variable all_started;
+  std::size_t started = 0;
+  std::vector<std::thread::id> seen(kThreads);
+  parallel_for(
+      kThreads,
+      [&](std::size_t i) {
+        std::unique_lock<std::mutex> lock(mutex);
+        seen[i] = std::this_thread::get_id();
+        if (++started == kThreads) all_started.notify_all();
+        all_started.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return started == kThreads; });
+      },
+      static_cast<int>(kThreads));
+  const std::set<std::thread::id> distinct(seen.begin(), seen.end());
+  EXPECT_EQ(distinct.size(), kThreads);
+  EXPECT_EQ(distinct.count(std::this_thread::get_id()), 1u);
+}
+
+TEST(ParallelFor, EmptyAndSingleRangesWork) {
   int calls = 0;
-  pool.parallel_for(0, [&](std::size_t) { ++calls; });
+  parallel_for(0, [&](std::size_t) { ++calls; }, 4);
   EXPECT_EQ(calls, 0);
-  pool.parallel_for(1, [&](std::size_t) { ++calls; });
+  parallel_for(1, [&](std::size_t) { ++calls; }, 4);
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPool, ExceptionPropagatesToCaller) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(64,
-                        [&](std::size_t i) {
-                          if (i == 13) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  // The pool survives a failed job and runs the next one cleanly.
+TEST(ParallelFor, ExceptionPropagatesToCaller) {
+  EXPECT_THROW(parallel_for(64,
+                            [&](std::size_t i) {
+                              if (i == 13) throw std::runtime_error("boom");
+                            },
+                            4),
+               std::runtime_error);
+  // A failed job leaves nothing behind: the next one runs cleanly.
   std::atomic<int> ok{0};
-  pool.parallel_for(16, [&](std::size_t) { ok.fetch_add(1); });
+  parallel_for(16, [&](std::size_t) { ok.fetch_add(1); }, 4);
   EXPECT_EQ(ok.load(), 16);
 }
 
@@ -133,70 +144,67 @@ TEST(ParallelFor, ExceptionPropagatesFromTransientPool) {
                std::runtime_error);
 }
 
-TEST(ThreadPool, FailFastBoundsWorkAfterFirstThrow) {
-  // After the first body exception, workers must stop claiming AND stop
+TEST(ParallelFor, FailFastBoundsWorkAfterFirstThrow) {
+  // After the first body exception, threads must stop claiming AND stop
   // executing claimed-but-unstarted tasks: at most one in-flight task per
-  // worker runs to completion after the throw. Without the abandon flag the
+  // thread runs to completion after the throw. Without the abandon flag the
   // whole 100k range would still execute.
   constexpr int kThreads = 4;
   constexpr std::size_t kCount = 100000;
-  ThreadPool pool(kThreads);
   std::atomic<bool> thrown{false};
   std::atomic<long> started_after_throw{0};
   std::atomic<long> executed{0};
   EXPECT_THROW(
-      pool.parallel_for(kCount,
-                        [&](std::size_t i) {
-                          if (i == 0) {
-                            // Let other workers get busy, then fail.
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(2));
-                            thrown.store(true);
-                            throw std::runtime_error("boom");
-                          }
-                          if (thrown.load()) started_after_throw.fetch_add(1);
-                          executed.fetch_add(1);
-                          // Each task outlasts the thrown->abandon window by
-                          // orders of magnitude, so no worker can start two
-                          // tasks inside it.
-                          std::this_thread::sleep_for(
-                              std::chrono::microseconds(200));
-                        }),
+      parallel_for(kCount,
+                   [&](std::size_t i) {
+                     if (i == 0) {
+                       // Let the other threads get busy, then fail.
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(2));
+                       thrown.store(true);
+                       throw std::runtime_error("boom");
+                     }
+                     if (thrown.load()) started_after_throw.fetch_add(1);
+                     executed.fetch_add(1);
+                     // Each task outlasts the thrown->abandon window by
+                     // orders of magnitude, so no thread can start two
+                     // tasks inside it.
+                     std::this_thread::sleep_for(
+                         std::chrono::microseconds(200));
+                   },
+                   kThreads),
       std::runtime_error);
   EXPECT_LE(started_after_throw.load(), kThreads);
   EXPECT_LT(executed.load(), static_cast<long>(kCount) / 2);
 }
 
-TEST(ThreadPool, ExternalCancelThrowsCancelledError) {
-  ThreadPool pool(4);
+TEST(ParallelFor, ExternalCancelThrowsCancelledError) {
   CancelToken token;
   std::atomic<long> executed{0};
-  EXPECT_THROW(
-      pool.parallel_for(100000,
-                        [&](std::size_t) {
-                          if (executed.fetch_add(1) + 1 == 8)
-                            token.request_cancel();
-                          std::this_thread::sleep_for(
-                              std::chrono::microseconds(50));
-                        },
-                        &token),
-      CancelledError);
+  EXPECT_THROW(parallel_for(100000,
+                            [&](std::size_t) {
+                              if (executed.fetch_add(1) + 1 == 8)
+                                token.request_cancel();
+                              std::this_thread::sleep_for(
+                                  std::chrono::microseconds(50));
+                            },
+                            4, &token),
+               CancelledError);
   // Cooperative: the tripped token stopped the range well short of done.
   EXPECT_LT(executed.load(), 100000);
-  // The pool survives a cancelled job and runs the next one cleanly.
+  // A cancelled job leaves nothing behind: the next one runs cleanly.
   std::atomic<int> ok{0};
-  pool.parallel_for(16, [&](std::size_t) { ok.fetch_add(1); });
+  parallel_for(16, [&](std::size_t) { ok.fetch_add(1); }, 4);
   EXPECT_EQ(ok.load(), 16);
 }
 
-TEST(ThreadPool, PreCancelledTokenRunsNoTasks) {
-  ThreadPool pool(4);
+TEST(ParallelFor, PreCancelledTokenRunsNoTasks) {
   CancelToken token;
   token.request_cancel();
   std::atomic<int> executed{0};
   EXPECT_THROW(
-      pool.parallel_for(64, [&](std::size_t) { executed.fetch_add(1); },
-                        &token),
+      parallel_for(64, [&](std::size_t) { executed.fetch_add(1); }, 4,
+                   &token),
       CancelledError);
   EXPECT_EQ(executed.load(), 0);
 }
