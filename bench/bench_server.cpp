@@ -18,10 +18,12 @@
 //              high-concurrency mode: N concurrent keep-alive connections
 //              driven by one epoll client loop (one request in flight per
 //              connection), proving the reactor holds 10k+ sockets with
-//              bounded p99 and byte-identical responses. Raises
-//              RLIMIT_NOFILE first and fails with a clear message when the
-//              fd budget cannot cover 2N sockets (both ends live in this
-//              process).
+//              bounded p99 and byte-identical responses. Transport errors
+//              are counted by phase (connect, send, recv EOF, recv error)
+//              with their errno, next to the run's delta of the kernel's
+//              listen-queue overflow counter (TcpExt ListenOverflows).
+//              Raises RLIMIT_NOFILE first and fails with a clear message
+//              when the fd budget cannot cover N sockets.
 //
 // The last stdout line is machine-readable for trend tracking:
 //   BENCH_JSON {"bench":"server", ...}
@@ -31,6 +33,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -60,6 +65,22 @@ double percentile_ms(std::vector<double>& sorted_seconds, double q) {
       sorted_seconds.size() - 1,
       static_cast<std::size_t>(q * static_cast<double>(sorted_seconds.size())));
   return sorted_seconds[index] * 1e3;
+}
+
+/// TcpExt ListenOverflows from /proc/net/netstat (this network namespace's
+/// count of connections dropped because a listen queue was full), or -1
+/// when the file cannot be read.
+long listen_overflows() {
+  std::ifstream in("/proc/net/netstat");
+  std::string names, values;
+  while (std::getline(in, names) && std::getline(in, values)) {
+    if (names.rfind("TcpExt:", 0) != 0) continue;
+    std::istringstream name_fields(names), value_fields(values);
+    std::string name, value;
+    while (name_fields >> name && value_fields >> value)
+      if (name == "ListenOverflows") return std::stol(value);
+  }
+  return -1;
 }
 
 server::TestServer make_fixture() {
@@ -479,6 +500,20 @@ int run_connections(int connections, bool smoke) {
   addr.sin_port = htons(static_cast<std::uint16_t>(fleet.port(0)));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
 
+  // Transport errors by the phase that saw them, and per "phase errno".
+  enum Phase { kConnect, kSend, kRecvEof, kRecvError, kPhases };
+  const char* const phase_names[kPhases] = {"connect", "send", "recv_eof",
+                                            "recv_error"};
+  long phase_errors[kPhases] = {};
+  std::map<std::string, long> errno_errors;
+  const auto count_error = [&](Phase phase, int err) {
+    ++phase_errors[phase];
+    if (err != 0)
+      ++errno_errors[std::string(phase_names[phase]) + " " +
+                     strerrorname_np(err)];
+  };
+  const long overflows_before = listen_overflows();
+
   const int epoll_fd = ::epoll_create1(0);
   std::vector<Conn> conns(static_cast<std::size_t>(connections));
   std::vector<int> slot_of_fd;
@@ -490,6 +525,7 @@ int run_connections(int connections, bool smoke) {
         (::connect(conn.fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
              0 &&
          errno != EINPROGRESS)) {
+      count_error(kConnect, errno);
       ++connect_failures;
       if (conn.fd >= 0) ::close(conn.fd);
       conn.fd = -1;
@@ -517,13 +553,17 @@ int run_connections(int connections, bool smoke) {
   const auto give_up = [&] { return seconds_since(start) > 300.0; };
   long open = connections - connect_failures;
 
-  const auto finish_conn = [&](Conn& conn, bool failed) {
+  const auto finish_conn = [&](Conn& conn) {
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
     ::close(conn.fd);
     slot_of_fd[static_cast<std::size_t>(conn.fd)] = -1;
     conn.fd = -1;
-    if (failed) ++transport_errors;
     --open;
+  };
+  const auto fail_conn = [&](Conn& conn, Phase phase, int err) {
+    count_error(phase, err);
+    ++transport_errors;
+    finish_conn(conn);
   };
 
   epoll_event events[512];
@@ -550,7 +590,7 @@ int run_connections(int connections, bool smoke) {
           }
         } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
                    errno != EINTR) {
-          finish_conn(conn, true);
+          fail_conn(conn, kSend, errno);
           continue;
         }
       }
@@ -566,7 +606,7 @@ int run_connections(int connections, bool smoke) {
             if (conn.inbuf != expected) ++mismatches;
             conn.inbuf.clear();
             if (--conn.remaining == 0) {
-              finish_conn(conn, false);
+              finish_conn(conn);
             } else {
               conn.sending = true;
               epoll_event mod{};
@@ -575,10 +615,10 @@ int run_connections(int connections, bool smoke) {
               ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &mod);
             }
           }
-        } else if (n == 0 ||
-                   (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                    errno != EINTR)) {
-          finish_conn(conn, true);
+        } else if (n == 0) {
+          fail_conn(conn, kRecvEof, 0);
+        } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+          fail_conn(conn, kRecvError, errno);
         }
       }
     }
@@ -586,6 +626,11 @@ int run_connections(int connections, bool smoke) {
   const double elapsed_s = seconds_since(start);
   ::close(epoll_fd);
   fleet.kill(0);
+  const long overflows_after = listen_overflows();
+  const long listen_overflow_delta =
+      overflows_before >= 0 && overflows_after >= 0
+          ? overflows_after - overflows_before
+          : -1;
 
   std::sort(latencies.begin(), latencies.end());
   const double rps = elapsed_s > 0.0 ? completed / elapsed_s : 0.0;
@@ -606,6 +651,19 @@ int run_connections(int connections, bool smoke) {
   std::printf("  latency p50 / p99 / p999 .................. %.3f / %.3f / "
               "%.3f ms\n",
               p50_ms, p99_ms, p999_ms);
+  std::printf("  transport errors .......................... %ld (connect %ld, "
+              "send %ld, recv EOF %ld, recv error %ld)\n",
+              transport_errors, phase_errors[kConnect], phase_errors[kSend],
+              phase_errors[kRecvEof], phase_errors[kRecvError]);
+  std::string errnos_json;
+  for (const auto& [where, count] : errno_errors) {
+    std::printf("    %s ... %ld\n", where.c_str(), count);
+    errnos_json += (errnos_json.empty() ? "\"" : ",\"") + where +
+                   "\":" + std::to_string(count);
+  }
+  std::printf("  listen queue overflows (TcpExt) ........... %ld%s\n",
+              listen_overflow_delta,
+              listen_overflow_delta < 0 ? " (unreadable)" : "");
   std::printf("  responses identical to direct calls ....... %s\n\n",
               identical ? "HOLDS" : "DEVIATES");
 
@@ -614,10 +672,16 @@ int run_connections(int connections, bool smoke) {
               "\"completed\":%ld,\"elapsed_s\":%.4f,\"rps\":%.1f,"
               "\"p50_ms\":%.4f,\"p99_ms\":%.4f,\"p999_ms\":%.4f,"
               "\"mismatches\":%ld,\"transport_errors\":%ld,"
+              "\"transport_errors_by_phase\":{\"connect\":%ld,\"send\":%ld,"
+              "\"recv_eof\":%ld,\"recv_error\":%ld},"
+              "\"transport_errnos\":{%s},\"listen_overflows\":%ld,"
               "\"identical\":%s}\n",
               config.workers, connections, rounds, completed,
               elapsed_s, rps, p50_ms, p99_ms, p999_ms, mismatches,
-              transport_errors, identical ? "true" : "false");
+              transport_errors, phase_errors[kConnect], phase_errors[kSend],
+              phase_errors[kRecvEof], phase_errors[kRecvError],
+              errnos_json.c_str(), listen_overflow_delta,
+              identical ? "true" : "false");
   return identical ? 0 : 1;
 }
 

@@ -31,10 +31,10 @@ void Client::ensure_connected() {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   require(fd_ >= 0, "Client: socket() failed");
 
+  // SO_SNDTIMEO is the deadline of the blocking connect() below.
   timeval tv{};
   tv.tv_sec = config_.timeout_ms / 1000;
   tv.tv_usec = (config_.timeout_ms % 1000) * 1000;
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 
   sockaddr_in addr{};
@@ -50,39 +50,15 @@ void Client::ensure_connected() {
     throw ConnectionLost("Client: cannot connect to " + config_.address + ":" +
                          std::to_string(config_.port) + ": " + reason);
   }
-}
-
-std::string Client::exchange(const std::string& line) {
-  ensure_connected();
-  if (!write_all(fd_, line + "\n")) {
-    // EPIPE/ECONNRESET on send: the peer is gone, not slow.
-    disconnect();
-    throw ConnectionLost("Client: send failed (connection lost)");
-  }
-  LineReader reader(fd_, kMaxFrameBytes);
-  const Frame frame = reader.read_line();
-  switch (frame.status) {
-    case Frame::Status::Line:
-      return frame.text;
-    case Frame::Status::Timeout:
-      disconnect();
-      throw Error("Client: timed out after " +
-                  std::to_string(config_.timeout_ms) +
-                  " ms waiting for a response");
-    case Frame::Status::Eof:
-      // The peer closed (possibly mid-frame, short read) before a full
-      // response line arrived — a died-while-serving signal.
-      disconnect();
-      throw ConnectionLost(
-          "Client: connection closed before a response arrived");
-    default:
-      disconnect();
-      throw ConnectionLost("Client: receive failed (connection lost)");
-  }
+  // Nonblocking from here on: pipelining interleaves sends and reads, so a
+  // blocking send that fills the server's receive window while the server
+  // waits for us to drain responses must not deadlock the exchange.
+  ::fcntl(fd_, F_SETFL, ::fcntl(fd_, F_GETFL, 0) | O_NONBLOCK);
+  reader_ = LineReader(fd_, kMaxFrameBytes);
 }
 
 std::string Client::roundtrip(const std::string& line) {
-  return exchange(line);
+  return pipeline({line}).front();
 }
 
 std::vector<std::string> Client::pipeline(const std::vector<std::string>& lines) {
@@ -96,70 +72,56 @@ std::vector<std::string> Client::pipeline(const std::vector<std::string>& lines)
   }
   std::size_t sent = 0;
 
-  // Nonblocking for the duration: the whole point of pipelining is that
-  // sends and reads interleave, so a blocking send that fills the server's
-  // receive window while the server waits for us to drain responses must
-  // not deadlock the exchange.
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-  struct RestoreFlags {
-    int fd;
-    int flags;
-    ~RestoreFlags() { ::fcntl(fd, F_SETFL, flags); }
-  } restore{fd_, flags};
-
   std::vector<std::string> responses;
   responses.reserve(lines.size());
-  std::string incoming;
-  const auto fail = [&](const char* what) -> ConnectionLost {
+  const auto lost = [&](const std::string& what) -> ConnectionLost {
     disconnect();
-    return ConnectionLost(std::string("Client: pipeline ") + what +
-                          " after " + std::to_string(responses.size()) +
-                          " of " + std::to_string(lines.size()) +
-                          " responses");
+    return ConnectionLost("Client: " + what + " after " +
+                          std::to_string(responses.size()) + " of " +
+                          std::to_string(lines.size()) + " responses");
   };
 
   while (responses.size() < lines.size()) {
-    pollfd pfd{};
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    if (sent < outgoing.size()) pfd.events |= POLLOUT;
-    const int ready = ::poll(&pfd, 1, config_.timeout_ms);
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready == 0) {
-      disconnect();
-      throw Error("Client: pipeline timed out after " +
-                  std::to_string(config_.timeout_ms) + " ms with " +
-                  std::to_string(responses.size()) + " of " +
-                  std::to_string(lines.size()) + " responses");
-    }
-    if (ready < 0) throw fail("poll failed");
-
-    if ((pfd.revents & POLLOUT) != 0 && sent < outgoing.size()) {
+    if (sent < outgoing.size()) {
       const ssize_t n = ::send(fd_, outgoing.data() + sent,
                                outgoing.size() - sent, MSG_NOSIGNAL);
       if (n > 0) sent += static_cast<std::size_t>(n);
       else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
                errno != EINTR)
-        throw fail("send failed");
+        throw lost("send failed");  // EPIPE/ECONNRESET: the peer is gone
     }
-    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      char chunk[16384];
-      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-      if (n > 0) {
-        incoming.append(chunk, static_cast<std::size_t>(n));
-        std::size_t newline;
-        while (responses.size() < lines.size() &&
-               (newline = incoming.find('\n')) != std::string::npos) {
-          responses.push_back(incoming.substr(0, newline));
-          incoming.erase(0, newline + 1);
-        }
-      } else if (n == 0) {
-        throw fail("connection closed");
-      } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        throw fail("receive failed");
-      }
+    Frame frame = reader_.read_line();
+    switch (frame.status) {
+      case Frame::Status::Line:
+        responses.push_back(std::move(frame.text));
+        continue;
+      case Frame::Status::Timeout:
+        break;  // nothing (more) to read yet: wait below
+      case Frame::Status::Eof:
+        // The peer closed (possibly mid-frame) before every response line
+        // arrived: a died-while-serving signal.
+        throw lost("connection closed");
+      case Frame::Status::Overflow:
+        throw lost("response line longer than " +
+                   std::to_string(kMaxFrameBytes) + " bytes");
+      case Frame::Status::Error:
+        throw lost("receive failed");
     }
+    // Wait for a response byte (or room to send). Any progress restarts the
+    // clock, so timeout_ms bounds a stall, not the whole exchange.
+    pollfd pfd{};
+    pfd.fd = fd_;
+    pfd.events = POLLIN;
+    if (sent < outgoing.size()) pfd.events |= POLLOUT;
+    const int ready = ::poll(&pfd, 1, config_.timeout_ms);
+    if (ready == 0) {
+      disconnect();
+      throw Error("Client: timed out after " +
+                  std::to_string(config_.timeout_ms) + " ms with " +
+                  std::to_string(responses.size()) + " of " +
+                  std::to_string(lines.size()) + " responses");
+    }
+    if (ready < 0 && errno != EINTR) throw lost("poll failed");
   }
   return responses;
 }
@@ -181,14 +143,17 @@ Json Client::request(const std::string& type, const Json& params) {
   };
   int backoff_ms = config_.backoff_initial_ms;
   for (int attempt = 0;; ++attempt) {
-    const Response response = parse_response(exchange(line));
+    const Response response = parse_response(roundtrip(line));
     if (response.ok) return response.result;
-    if (response.error_code == "busy" && attempt < config_.max_retries &&
-        !budget_exhausted(backoff_ms)) {
-      // The server closed the connection after the busy reply; back off,
-      // then reconnect and try again. The backoff doubles up to
-      // backoff_max_ms, and the whole retry loop is bounded by
-      // retry_budget_ms — overload throttles the caller, never wedges it.
+    if ((response.error_code == "busy" ||
+         response.error_code == "idle_timeout") &&
+        attempt < config_.max_retries && !budget_exhausted(backoff_ms)) {
+      // The server closes the connection after either reply, and neither
+      // means it read this request: a busy shed refused it, and an idle
+      // farewell was already waiting on the socket. Back off, then
+      // reconnect and try again. The backoff doubles up to backoff_max_ms,
+      // and the whole retry loop is bounded by retry_budget_ms — overload
+      // throttles the caller, never wedges it.
       disconnect();
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       backoff_ms = std::min(backoff_ms * 2,

@@ -1,12 +1,16 @@
-// Blocking client for memstressd: connect, send one NDJSON request per
-// call, read the one-line response.
+// Client for memstressd: send NDJSON request lines, read one-line responses.
 //
-// The only piece with policy in it is busy handling: a "busy" response is
-// the server's backpressure signal (the connection is closed after it), so
-// request() transparently reconnects and retries with exponential backoff
-// up to ClientConfig::max_retries before surfacing the error. Every other
-// error response is thrown as ServerError immediately — the server already
-// said something structured; retrying would not change it.
+// One I/O loop serves request(), roundtrip() and pipeline(): a nonblocking
+// socket, sends and reads interleaved under poll(), and one LineReader per
+// connection, so no byte is dropped between calls. ClientConfig::timeout_ms
+// bounds the connect and each wait for progress, not a whole call.
+//
+// The only policy is retrying: "busy" (backpressure) and "idle_timeout" (the
+// farewell to an idle connection) both end the connection without the
+// request having been read, so request() reconnects and retries them with
+// exponential backoff up to ClientConfig::max_retries. Every other error
+// response is thrown as ServerError immediately — the server already said
+// something structured; retrying would not change it.
 #pragma once
 
 #include <string>
@@ -30,8 +34,9 @@ class ServerError : public Error {
 };
 
 /// The transport died underneath a call: connect refused, ECONNRESET/EPIPE
-/// on send, or the connection closing mid-frame before a full response
-/// line arrived. Distinct from a receive *timeout* (plain Error) on
+/// on send, the connection closing mid-frame before a full response line
+/// arrived, or a response line past kMaxFrameBytes (a peer that is not
+/// speaking the protocol). Distinct from a receive *timeout* (plain Error) on
 /// purpose — a coordinator treats a lost connection as "worker died,
 /// requeue its shards now" while a timeout only means "worker slow, maybe
 /// hedge". The client always disconnects before throwing, so the next
@@ -60,11 +65,11 @@ struct BatchOutcome {
 struct ClientConfig {
   std::string address = "127.0.0.1";
   int port = 0;
-  int timeout_ms = 10000;      ///< connect + per-response receive timeout
-  int max_retries = 6;         ///< busy-retry attempts before giving up
+  int timeout_ms = 10000;      ///< connect + each wait for progress
+  int max_retries = 6;         ///< busy / idle_timeout retry attempts
   int backoff_initial_ms = 5;  ///< doubles per retry: 5, 10, 20, ...
   int backoff_max_ms = 250;    ///< per-sleep ceiling for the doubling
-  /// Hard wall-clock budget for one request() call including every busy
+  /// Hard wall-clock budget for one request() call including every
   /// retry and backoff sleep. When the budget would be exceeded the busy
   /// error surfaces instead of another retry — under sustained overload a
   /// caller is throttled, never wedged. 0 disables the cap.
@@ -79,9 +84,9 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Send `params` as a `type` request and return the result document.
-  /// Retries (with reconnect + backoff) while the server answers "busy";
-  /// throws ServerError for any other error response and Error for
-  /// transport failures.
+  /// Retries (with reconnect + backoff) while the server answers "busy" or
+  /// "idle_timeout"; throws ServerError for any other error response and
+  /// Error for transport failures.
   Json request(const std::string& type, const Json& params = Json::object());
 
   /// Send every sub-request in one "batch" frame (one syscall round trip
@@ -91,8 +96,8 @@ class Client {
   std::vector<BatchOutcome> batch(const std::vector<BatchRequest>& requests);
 
   /// Raw exchange for tests: send exactly `line` (plus the newline) on a
-  /// fresh-or-existing connection and return the raw response line. No
-  /// retries, no envelope handling.
+  /// fresh-or-existing connection and return the next raw response line.
+  /// No retries, no envelope handling. The same loop as pipeline().
   std::string roundtrip(const std::string& line);
 
   /// Pipelining: write every raw `line` back-to-back without waiting, then
@@ -111,10 +116,10 @@ class Client {
 
  private:
   void ensure_connected();
-  std::string exchange(const std::string& line);
 
   ClientConfig config_;
   int fd_ = -1;
+  LineReader reader_{-1};  ///< frames of fd_; replaced on every connect
   long long next_id_ = 1;
 };
 

@@ -27,8 +27,7 @@ namespace {
     std::shared_ptr<const MemstressService> service = factory();
     Server server(std::move(config), std::move(service));
     server.start();
-    // Plain write() loop: protocol.cpp's write_all is send()-based and
-    // sockets-only, and report_fd is a pipe.
+    // Plain write() loop: report_fd is a pipe, not a socket.
     const std::string report = std::to_string(server.port()) + "\n";
     std::size_t written = 0;
     while (written < report.size()) {

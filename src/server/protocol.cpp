@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 namespace memstress::server {
 
@@ -624,36 +623,41 @@ Response parse_response(const std::string& line) {
 
 Frame LineReader::read_line() {
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scan_from_);
     if (newline != std::string::npos) {
       // A whole line may land in one recv, so the limit must be enforced
       // here too, not only while accumulating below.
       if (overflowed_ || newline > max_frame_) {
         buffer_.clear();
+        scan_from_ = 0;
         overflowed_ = true;
         return {Frame::Status::Overflow, {}};
       }
       Frame frame{Frame::Status::Line, buffer_.substr(0, newline)};
       buffer_.erase(0, newline + 1);
+      scan_from_ = 0;
       return frame;
     }
+    scan_from_ = buffer_.size();
     if (buffer_.size() > max_frame_) {
       // Stop accumulating: the line already exceeds the limit. Drop what we
       // have (keeps memory bounded even against a hostile writer) and report
       // overflow; the connection cannot be resynchronized.
       buffer_.clear();
+      scan_from_ = 0;
       overflowed_ = true;
       return {Frame::Status::Overflow, {}};
     }
-    char chunk[4096];
+    char chunk[16384];
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n > 0) {
       buffer_.append(chunk, static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) {
-      Frame frame{Frame::Status::Eof, buffer_};
+      Frame frame{Frame::Status::Eof, std::move(buffer_)};
       buffer_.clear();
+      scan_from_ = 0;
       return frame;
     }
     if (errno == EINTR) continue;
@@ -661,21 +665,6 @@ Frame LineReader::read_line() {
       return {Frame::Status::Timeout, {}};
     return {Frame::Status::Error, {}};
   }
-}
-
-bool write_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace memstress::server

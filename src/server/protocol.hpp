@@ -217,7 +217,7 @@ struct Response {
 Response parse_response(const std::string& line);
 
 // ---------------------------------------------------------------------------
-// Framing over a socket / pipe fd.
+// Framing over a socket fd.
 
 /// Outcome of one read_line() call.
 struct Frame {
@@ -226,16 +226,18 @@ struct Frame {
     Eof,       ///< orderly close; `text` holds any unterminated trailing
                ///< bytes (a truncated frame when nonempty)
     Overflow,  ///< the line exceeded the limit; connection unusable
-    Timeout,   ///< no data before the socket's receive timeout
+    Timeout,   ///< no whole line before the receive timeout or, on a
+               ///< nonblocking fd, nothing more to read yet (EAGAIN)
     Error,     ///< read error (ECONNRESET and friends)
   };
   Status status = Status::Error;
   std::string text;
 };
 
-/// Buffered reader that cuts '\n'-terminated frames from an fd and enforces
-/// the frame-size limit while reading (an oversized line is rejected after
-/// `max_frame` bytes, not buffered in full).
+/// The one frame cutter, for server connections and Client alike: cuts
+/// '\n'-terminated frames from an fd, keeps bytes past a returned line (or a
+/// partial one) for the next call, resumes the newline scan where it stopped,
+/// and rejects an oversized line after `max_frame` bytes, never buffering it.
 class LineReader {
  public:
   explicit LineReader(int fd, std::size_t max_frame = kMaxFrameBytes)
@@ -247,11 +249,8 @@ class LineReader {
   int fd_;
   std::size_t max_frame_;
   std::string buffer_;
+  std::size_t scan_from_ = 0;  ///< buffer_ before this holds no '\n'
   bool overflowed_ = false;
 };
-
-/// Write the whole buffer (handles short writes; suppresses SIGPIPE).
-/// Returns false on any write error.
-bool write_all(int fd, const std::string& data);
 
 }  // namespace memstress::server

@@ -41,6 +41,11 @@ std::size_t ensure_fd_budget(std::size_t want) {
              : static_cast<std::size_t>(limit.rlim_cur);
 }
 
+ServiceInfo ServerConfig::service_info() const {
+  return ServiceInfo{resolve_thread_count(workers), queue_depth, cache_entries,
+                     batch_max};
+}
+
 // ---------------------------------------------------------------------------
 // TaskQueue.
 
@@ -227,85 +232,59 @@ void Server::start() {
 
 void Server::reactor_loop() {
   epoll_event events[256];
-  bool listen_closed = false;
   for (;;) {
     const int ready =
         ::epoll_wait(epoll_fd_, events, 256, kTickMs);
     const bool draining = stopping();
-    if (draining && !listen_closed) {
+    if (draining && listen_fd_ >= 0) {
       // Stop accepting the moment shutdown begins; existing connections
       // drain below.
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
       close_fd(listen_fd_);
       listen_fd_ = -1;
-      listen_closed = true;
     }
-    bool accept_pending = false;
-    if (ready > 0) {
-      // Connection events first, listener last: a close freed fd numbers
-      // that accept() may immediately reuse, and the generation check on
-      // completions only protects cross-thread handoffs, not this batch.
-      for (int i = 0; i < ready; ++i) {
-        const int fd = events[i].data.fd;
-        if (fd == listen_fd_ && !listen_closed) {
-          accept_pending = true;
-          continue;
-        }
-        if (fd == wake_fd_) {
-          std::uint64_t drained = 0;
-          while (::read(wake_fd_, &drained, sizeof drained) > 0) {
-          }
-          continue;
-        }
-        auto it = connections_.find(fd);
-        if (it == connections_.end()) continue;  // destroyed earlier in batch
-        if (events[i].events & EPOLLOUT) {
-          if (!flush_writes(*it->second)) continue;  // flush destroyed it
-          // Draining below the low watermark resumes a paused reader.
-          Connection& conn = *it->second;
-          if (conn.paused_read &&
-              conn.buffered_bytes <= config_.max_output_bytes / 2) {
-            conn.paused_read = false;
-            if (!connection_readable(conn)) continue;
-          }
-        }
-        if (events[i].events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR))
-          connection_readable(*it->second);
+    for (int i = 0; i < ready; ++i) {
+      const int fd = events[i].data.fd;
+      if (fd == listen_fd_) {
+        accept_ready();
+        continue;
       }
+      if (fd == wake_fd_) {
+        std::uint64_t drained = 0;
+        while (::read(wake_fd_, &drained, sizeof drained) > 0) {
+        }
+        continue;
+      }
+      auto it = connections_.find(fd);
+      if (it == connections_.end()) continue;
+      Connection& conn = *it->second;
+      if (events[i].events & EPOLLOUT) {
+        flush_writes(conn);
+        resume_if_drained(conn);
+      }
+      if (events[i].events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR))
+        connection_readable(conn);
     }
     apply_completions();
-    if (accept_pending) accept_ready();
     sweep_timers(Clock::now());
+    reap_closed();
     if (draining && workers_done_.load(std::memory_order_acquire)) {
-      apply_completions();
-      bool flushed = true;
-      {
-        std::lock_guard<std::mutex> lock(completions_mutex_);
-        flushed = completions_.empty();
-      }
-      if (flushed)
-        for (const auto& entry : connections_)
-          if (!entry.second->write_queue.empty()) {
-            flushed = false;
-            break;
-          }
-      if (flushed) break;  // every response delivered (or write-deadlined)
+      apply_completions();  // every worker has joined: these are the last
+      if (std::none_of(connections_.begin(), connections_.end(),
+                       [](const auto& entry) {
+                         return !entry.second->closed &&
+                                !entry.second->write_queue.empty();
+                       }))
+        break;  // every response delivered (or write-deadlined)
     }
   }
   // Teardown: close every connection and the listener. The wake and epoll
   // fds stay open — stop() closes them after joining this thread, so its
   // own late wake_reactor() never races a close here.
-  std::vector<int> fds;
-  fds.reserve(connections_.size());
-  for (const auto& entry : connections_) fds.push_back(entry.first);
-  for (const int fd : fds) {
-    auto it = connections_.find(fd);
-    if (it != connections_.end()) destroy_connection(*it->second);
-  }
-  if (listen_fd_ >= 0) {
-    close_fd(listen_fd_);
-    listen_fd_ = -1;
-  }
+  for (const auto& entry : connections_) close_connection(*entry.second);
+  reap_closed();
+  close_fd(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void Server::accept_ready() {
@@ -355,90 +334,64 @@ void Server::accept_ready() {
       continue;
     }
     accepted.add(1);
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->id = next_conn_id_++;
+    auto conn =
+        std::make_unique<Connection>(fd, next_conn_id_++, config_.max_frame_bytes);
     conn->last_activity = Clock::now();
     connections_.emplace(fd, std::move(conn));
   }
 }
 
-bool Server::connection_readable(Connection& conn) {
-  if (conn.eof_seen) return true;
+void Server::connection_readable(Connection& conn) {
+  static metrics::Counter& errors = metrics::counter("server.errors");
   conn.last_activity = Clock::now();
-  if (!process_read_buffer(conn))  // leftovers from before a read pause
-    return false;
-  while (!conn.paused_read && !conn.eof_seen) {
-    char chunk[16384];
-    const ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
-    if (n > 0) {
-      conn.read_buffer.append(chunk, static_cast<std::size_t>(n));
-      conn.last_activity = Clock::now();
-      if (!process_read_buffer(conn)) return false;
-      continue;
-    }
-    if (n == 0) {
-      // Orderly close (or half-close: the peer may still be reading its
-      // pipelined responses, so this is "no more requests", not "hang up").
-      if (!conn.read_buffer.empty()) {
+  // Lines buffered before a read pause come out first; the reader touches
+  // the socket only when no whole line is left.
+  while (!conn.closed && !conn.paused_read && !conn.eof_seen) {
+    const Frame frame = conn.reader.read_line();
+    const char* code = "parse_error";
+    std::string what;
+    switch (frame.status) {
+      case Frame::Status::Line:
+        ++conn.line_number;
+        handle_line(conn, frame.text);
+        continue;
+      case Frame::Status::Timeout:
+        return;  // EAGAIN: the edge is consumed
+      case Frame::Status::Error:
+        close_connection(conn);  // ECONNRESET and friends
+        return;
+      case Frame::Status::Eof:
+        // Orderly close (or half-close: the peer may still be reading its
+        // pipelined responses, so this is "no more requests", not "hang
+        // up"); flushing closes the stream once it drains.
+        conn.eof_seen = true;
+        if (frame.text.empty()) {
+          maybe_close_drained(conn);
+          return;
+        }
         // Data without a terminating newline is a truncated frame, not a
         // request; answer structurally so the writer can tell what broke.
-        ++conn.line_number;
-        static metrics::Counter& errors = metrics::counter("server.errors");
-        errors.add(1);
-        conn.read_buffer.clear();
-        conn.scan_from = 0;
-        conn.eof_seen = true;  // flush closes the stream once it drains
-        return enqueue_frame(
-            conn, make_error(0, "parse_error",
-                             "request:" + std::to_string(conn.line_number) +
-                                 ": truncated frame (missing newline "
-                                 "before connection close)"));
-      }
-      conn.eof_seen = true;
-      return maybe_close_drained(conn);
+        what = "truncated frame (missing newline before connection close)";
+        break;
+      case Frame::Status::Overflow:
+        code = "frame_too_large";
+        what = "frame exceeds " + std::to_string(config_.max_frame_bytes) +
+               " bytes; closing (cannot resynchronize)";
+        break;
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    destroy_connection(conn);  // ECONNRESET and friends
-    return false;
-  }
-  return true;
-}
-
-bool Server::process_read_buffer(Connection& conn) {
-  while (!conn.paused_read && !conn.eof_seen) {
-    const std::size_t newline = conn.read_buffer.find('\n', conn.scan_from);
-    if (newline == std::string::npos) {
-      conn.scan_from = conn.read_buffer.size();
-      if (conn.read_buffer.size() <= config_.max_frame_bytes) return true;
-    }
-    if (newline == std::string::npos || newline > config_.max_frame_bytes) {
-      // Oversized frame: no boundary to resynchronize at. Answer, then
-      // treat the stream as finished (close once the answer flushes).
-      ++conn.line_number;
-      static metrics::Counter& errors = metrics::counter("server.errors");
-      errors.add(1);
-      conn.read_buffer.clear();
-      conn.scan_from = 0;
-      conn.eof_seen = true;  // flush closes the stream once it drains
-      return enqueue_frame(
-          conn, make_error(0, "frame_too_large",
-                           "request:" + std::to_string(conn.line_number) +
-                               ": frame exceeds " +
-                               std::to_string(config_.max_frame_bytes) +
-                               " bytes; closing (cannot resynchronize)"));
-    }
-    const std::string line = conn.read_buffer.substr(0, newline);
-    conn.read_buffer.erase(0, newline + 1);
-    conn.scan_from = 0;
+    // Framing damage leaves no boundary to resynchronize at: answer, then
+    // treat the stream as finished (close once the answer flushes).
     ++conn.line_number;
-    if (!handle_line(conn, line)) return false;
+    errors.add(1);
+    conn.eof_seen = true;
+    enqueue_frame(conn, make_error(0, code,
+                                   "request:" +
+                                       std::to_string(conn.line_number) +
+                                       ": " + what));
   }
-  return true;
 }
 
-bool Server::handle_line(Connection& conn, const std::string& line) {
+void Server::handle_line(Connection& conn, const std::string& line) {
   static metrics::Counter& errors = metrics::counter("server.errors");
   static metrics::Counter& busy = metrics::counter("server.busy_rejections");
   const std::string row_prefix =
@@ -485,11 +438,9 @@ bool Server::handle_line(Connection& conn, const std::string& line) {
                                         "); retry with backoff"));
   }
   ++conn.in_flight;
-  ++total_inflight_;
-  return true;
 }
 
-bool Server::enqueue_frame(Connection& conn, std::string frame) {
+void Server::enqueue_frame(Connection& conn, std::string frame) {
   frame += '\n';
   conn.buffered_bytes += frame.size();
   conn.write_queue.push_back(std::move(frame));
@@ -497,9 +448,7 @@ bool Server::enqueue_frame(Connection& conn, std::string frame) {
     // Output cap: stop consuming requests from a connection that is not
     // draining its responses; reading resumes below the low watermark.
     conn.paused_read = true;
-  return flush_writes(conn);  // opportunistic: most frames go out in one
-                              // sendmsg — and may destroy conn (EPIPE, or
-                              // a drained close after eof_seen)
+  flush_writes(conn);  // opportunistic: most frames go out in one sendmsg
 }
 
 void Server::update_write_interest(Connection& conn, bool want) {
@@ -512,7 +461,8 @@ void Server::update_write_interest(Connection& conn, bool want) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &event);
 }
 
-bool Server::flush_writes(Connection& conn) {
+void Server::flush_writes(Connection& conn) {
+  if (conn.closed) return;
   bool progressed = false;
   while (!conn.write_queue.empty()) {
     iovec iov[16];
@@ -536,8 +486,7 @@ bool Server::flush_writes(Connection& conn) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      destroy_connection(conn);  // EPIPE/ECONNRESET: the peer is gone
-      return false;
+      return close_connection(conn);  // EPIPE/ECONNRESET: the peer is gone
     }
     progressed = true;
     conn.buffered_bytes -= static_cast<std::size_t>(n);
@@ -566,7 +515,14 @@ bool Server::flush_writes(Connection& conn) {
     conn.write_deadline =
         Clock::now() + std::chrono::milliseconds(config_.write_timeout_ms);
   update_write_interest(conn, true);
-  return true;
+}
+
+void Server::resume_if_drained(Connection& conn) {
+  // Draining below the low watermark resumes a paused reader.
+  if (!conn.paused_read || conn.buffered_bytes > config_.max_output_bytes / 2)
+    return;
+  conn.paused_read = false;
+  connection_readable(conn);
 }
 
 void Server::apply_completions() {
@@ -577,20 +533,15 @@ void Server::apply_completions() {
   }
   for (Completion& completion : batch) {
     auto it = connections_.find(completion.fd);
-    if (it == connections_.end() || it->second->id != completion.conn_id)
+    if (it == connections_.end() || it->second->id != completion.conn_id ||
+        it->second->closed)
       continue;  // the connection died while its request was computing
     Connection& conn = *it->second;
     --conn.in_flight;
-    --total_inflight_;
     conn.last_activity = Clock::now();
     const bool was_paused = conn.paused_read;
-    if (!enqueue_frame(conn, std::move(completion.frame)))
-      continue;  // the flush destroyed conn
-    if (was_paused && conn.paused_read &&
-        conn.buffered_bytes <= config_.max_output_bytes / 2) {
-      conn.paused_read = false;
-      connection_readable(conn);  // next completion re-finds its own conn
-    }
+    enqueue_frame(conn, std::move(completion.frame));
+    if (was_paused) resume_if_drained(conn);
   }
 }
 
@@ -599,56 +550,49 @@ void Server::sweep_timers(Clock::time_point now) {
       metrics::counter("server.write_timeouts");
   static metrics::Counter& idle_timeouts =
       metrics::counter("server.idle_timeouts");
-  std::vector<int> wedged;
-  std::vector<int> idle;
+  const bool draining = stopping();
   for (const auto& entry : connections_) {
-    const Connection& conn = *entry.second;
+    Connection& conn = *entry.second;
+    if (conn.closed) continue;
     if (conn.write_deadline <= now && !conn.write_queue.empty()) {
-      wedged.push_back(entry.first);
-      continue;
+      // The peer stopped reading: nothing structured can reach it, so the
+      // only correct move is to stop spending anything on it.
+      write_timeouts.add(1);
+      close_connection(conn);
+    } else if (!draining && !conn.eof_seen && conn.in_flight == 0 &&
+               conn.write_queue.empty() &&
+               conn.last_activity +
+                       std::chrono::milliseconds(config_.idle_timeout_ms) <=
+                   now) {
+      idle_timeouts.add(1);
+      conn.eof_seen = true;  // no further requests; close once the notice sends
+      enqueue_frame(conn, make_error(0, "idle_timeout",
+                                     "connection idle for " +
+                                         std::to_string(
+                                             config_.idle_timeout_ms) +
+                                         " ms; closing (reconnect to resume)"));
     }
-    if (!stopping() && !conn.eof_seen && conn.in_flight == 0 &&
-        conn.write_queue.empty() &&
-        conn.last_activity +
-                std::chrono::milliseconds(config_.idle_timeout_ms) <=
-            now)
-      idle.push_back(entry.first);
-  }
-  for (const int fd : wedged) {
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) continue;
-    // The peer stopped reading: nothing structured can reach it, so the
-    // only correct move is to stop spending anything on it.
-    write_timeouts.add(1);
-    destroy_connection(*it->second);
-  }
-  for (const int fd : idle) {
-    auto it = connections_.find(fd);
-    if (it == connections_.end()) continue;
-    Connection& conn = *it->second;
-    idle_timeouts.add(1);
-    conn.eof_seen = true;  // no further requests; close once the notice sends
-    (void)enqueue_frame(  // last touch: conn may not survive the flush
-        conn, make_error(0, "idle_timeout",
-                         "connection idle for " +
-                             std::to_string(config_.idle_timeout_ms) +
-                             " ms; closing (reconnect to resume)"));
   }
 }
 
-bool Server::maybe_close_drained(Connection& conn) {
-  if (conn.eof_seen && conn.in_flight == 0 && conn.write_queue.empty()) {
-    destroy_connection(conn);
-    return false;
-  }
-  return true;
+void Server::maybe_close_drained(Connection& conn) {
+  if (conn.eof_seen && conn.in_flight == 0 && conn.write_queue.empty())
+    close_connection(conn);
 }
 
-void Server::destroy_connection(Connection& conn) {
+void Server::close_connection(Connection& conn) {
+  if (conn.closed) return;
+  conn.closed = true;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
-  close_fd(conn.fd);
-  total_inflight_ -= conn.in_flight;
-  connections_.erase(conn.fd);  // frees conn; callers must not touch it after
+  closed_fds_.push_back(conn.fd);
+}
+
+void Server::reap_closed() {
+  for (const int fd : closed_fds_) {
+    close_fd(fd);
+    connections_.erase(fd);
+  }
+  closed_fds_.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@
 //
 // Threading model:
 //   * One reactor thread owns the listen socket, every connection's state
-//     machine and all socket I/O. Connections are nonblocking; reads
-//     accumulate bytes until a '\n' frame boundary, writes go through a
-//     per-connection buffered queue flushed with scatter/gather sendmsg
-//     (MSG_NOSIGNAL: a peer resetting mid-flush is an EPIPE, not a
-//     process-killing SIGPIPE).
+//     machine and all socket I/O. Connections are nonblocking; each reads
+//     through its own LineReader (server/protocol.hpp), the one frame
+//     cutter, and writes go through a per-connection buffered queue
+//     flushed with scatter/gather sendmsg (MSG_NOSIGNAL: a peer resetting
+//     mid-flush is an EPIPE, not a process-killing SIGPIPE).
 //     No other thread ever touches a socket.
 //   * A worker pool pulls *parsed requests* (not connections) from a
 //     bounded queue, runs MemstressService::handle_serialized — the compute
@@ -129,10 +129,9 @@ struct ServerConfig {
   int bind_retry_ms = 50;
 
   /// The ServiceInfo slice of this configuration, for constructing the
-  /// MemstressService the server will front.
-  ServiceInfo service_info() const {
-    return ServiceInfo{workers, queue_depth, cache_entries, batch_max};
-  }
+  /// MemstressService the server will front. `workers` is resolved the way
+  /// the Server resolves it, so health reports the threads that run.
+  ServiceInfo service_info() const;
 };
 
 /// Raise RLIMIT_NOFILE's soft limit toward `want` (capped at the hard
@@ -205,10 +204,11 @@ class Server {
   /// Per-connection state machine; owned and touched by the reactor thread
   /// only.
   struct Connection {
-    int fd = -1;
-    std::uint64_t id = 0;
-    std::string read_buffer;
-    std::size_t scan_from = 0;  ///< resume point for the newline scan
+    Connection(int fd, std::uint64_t id, std::size_t max_frame)
+        : fd(fd), id(id), reader(fd, max_frame) {}
+    int fd;
+    std::uint64_t id;
+    LineReader reader;
     std::deque<std::string> write_queue;
     std::size_t write_offset = 0;  ///< sent bytes of write_queue.front()
     std::size_t buffered_bytes = 0;
@@ -219,29 +219,32 @@ class Server {
     bool want_write = false;   ///< EPOLLOUT currently armed
     bool paused_read = false;  ///< output cap reached; not reading
     bool eof_seen = false;     ///< no more requests; close once drained
+    bool closed = false;       ///< out of epoll; reap_closed() frees it
   };
 
   void reactor_loop();
   void worker_loop();
   std::string execute(const Task& task) const;
 
-  // Reactor-thread helpers. Every helper that can reach
-  // destroy_connection — a flush hitting EPIPE, a drained close — returns
-  // false when the connection was destroyed and true while `conn` is still
-  // safe to touch. Callers must stop using the reference the moment they
-  // see false; only destroy_connection itself is void, and nothing may
-  // touch the connection after calling it.
+  // Reactor-thread helpers. A connection dies in one place: any helper may
+  // call close_connection(), which only marks it closed and takes its fd out
+  // of epoll; reap_closed() closes those fds and frees those connections at
+  // the end of the reactor turn. So a Connection& stays valid for the whole
+  // turn, every helper is void, and none does socket I/O once `closed` is
+  // set. Until the reap no fd number is released, so an accept() inside the
+  // turn cannot reuse one that a later event in the same batch still names.
   void accept_ready();
-  bool connection_readable(Connection& conn);
-  bool process_read_buffer(Connection& conn);
-  bool handle_line(Connection& conn, const std::string& line);
-  bool enqueue_frame(Connection& conn, std::string frame);
-  bool flush_writes(Connection& conn);
+  void connection_readable(Connection& conn);
+  void handle_line(Connection& conn, const std::string& line);
+  void enqueue_frame(Connection& conn, std::string frame);
+  void flush_writes(Connection& conn);
   void update_write_interest(Connection& conn, bool want);
+  void resume_if_drained(Connection& conn);
   void apply_completions();
   void sweep_timers(Clock::time_point now);
-  void destroy_connection(Connection& conn);
-  bool maybe_close_drained(Connection& conn);
+  void maybe_close_drained(Connection& conn);
+  void close_connection(Connection& conn);
+  void reap_closed();
 
   bool stopping() const;
   void wake_reactor();
@@ -257,9 +260,9 @@ class Server {
   std::atomic<bool> workers_done_{false};
   mutable std::atomic<std::uint64_t> request_counter_{0};
   std::uint64_t next_conn_id_ = 1;
-  int total_inflight_ = 0;  ///< reactor-thread view, admissions minus done
   std::size_t effective_max_connections_ = 0;
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  std::vector<int> closed_fds_;  ///< closed this turn, not yet reaped
 
   std::mutex completions_mutex_;
   std::vector<Completion> completions_;

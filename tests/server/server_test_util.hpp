@@ -5,6 +5,7 @@
 // VLV catches bridges up to 1 kOhm, Vmax catches opens.
 #pragma once
 
+#include <cerrno>
 #include <memory>
 #include <string>
 #include <utility>
@@ -99,6 +100,23 @@ struct TestServer {
     return make_response(request.id, service->handle(request, {}));
   }
 };
+
+/// Write the whole buffer (handles short writes; suppresses SIGPIPE).
+/// Returns false on any write error.
+inline bool write_all(int fd, const std::string& data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;
+  }
+  return true;
+}
 
 /// Minimal raw TCP connection for tests that need to break the protocol in
 /// ways Client refuses to (half-closed writes, unterminated frames).

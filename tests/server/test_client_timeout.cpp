@@ -1,9 +1,11 @@
 // Client resilience under a misbehaving or overloaded server.
 //
-// Two hazards are pinned here:
+// Three hazards are pinned here:
 //   * A server that stalls mid-response (bytes sent, newline never comes)
-//     must not wedge the client past its receive deadline — the SO_RCVTIMEO
-//     timeout has to fire even though data already arrived.
+//     must not wedge the client past its receive deadline — the timeout
+//     has to fire even though data already arrived.
+//   * A response line that never ends must not be buffered without bound:
+//     past kMaxFrameBytes the client gives up on the connection.
 //   * Sustained "busy" backpressure must not turn the retry loop into an
 //     unbounded wait: retry_budget_ms caps the total wall time of one
 //     request() including every backoff sleep.
@@ -40,6 +42,7 @@ class MisbehavingServer {
     StallMidResponse,  ///< send half a frame, then go silent
     AlwaysBusy,        ///< answer "busy" and close, forever
     DieMidResponse,    ///< send half a frame, then close — a server crash
+    EndlessLine,       ///< send 2 MiB without a newline, then go silent
   };
 
   explicit MisbehavingServer(Mode mode) : mode_(mode) {
@@ -97,12 +100,14 @@ class MisbehavingServer {
       (void)::write(fd, partial.data(), partial.size());
       return;
     }
-    if (mode_ == Mode::StallMidResponse) {
-      // Half a frame: the client has bytes but no newline, so only its
-      // receive timeout can save it. Then hold the connection open until
-      // the client gives up.
-      const std::string partial = "{\"v\":1,\"id\":1,\"ok\":tr";
-      (void)::write(fd, partial.data(), partial.size());
+    if (mode_ == Mode::StallMidResponse || mode_ == Mode::EndlessLine) {
+      // Half a frame (or twice the frame bound): the client has bytes but
+      // no newline. Then hold the connection open until the client gives
+      // up. write_all stops at the client's hang-up (EPIPE, no SIGPIPE).
+      if (mode_ == Mode::EndlessLine)
+        (void)write_all(fd, std::string(2 * kMaxFrameBytes, 'x'));
+      else
+        (void)write_all(fd, "{\"v\":1,\"id\":1,\"ok\":tr");
       while (running_.load()) {
         const ssize_t n = ::read(fd, buffer, sizeof buffer);
         if (n <= 0) return;  // client hung up — done stalling
@@ -201,6 +206,22 @@ TEST(ClientConnectionLost, ServerDyingMidResponseIsTypedConnectionLost) {
   EXPECT_LT(seconds_since(start), 2.0);
 }
 
+TEST(ClientConnectionLost, EndlessResponseLineIsBounded) {
+  // A peer that streams a line with no end is not speaking the protocol:
+  // the client stops at the frame bound with ConnectionLost instead of
+  // buffering until its timeout (or forever, if the peer keeps sending).
+  MisbehavingServer server(MisbehavingServer::Mode::EndlessLine);
+  ClientConfig config;
+  config.port = server.port();
+  config.timeout_ms = 5000;
+  Client client(config);
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(client.pipeline({"{\"v\":1,\"id\":1,\"type\":\"health\"}"}),
+               ConnectionLost);
+  EXPECT_LT(seconds_since(start), 2.0);  // the bound, not the timeout
+}
+
 TEST(ClientConnectionLost, ConnectRefusedIsTypedConnectionLost) {
   // Grab a port that refuses connections: bind + listen, note the port,
   // close — nothing is listening there for the duration of the test.
@@ -237,6 +258,21 @@ TEST(ClientConnectionLost, ReceiveTimeoutStaysAPlainError) {
   } catch (const Error&) {
     // the intended classification
   }
+}
+
+TEST(ClientTimeout, IdleConnectionIsReopenedForTheNextRequest) {
+  // Past idle_timeout_ms the server sends its "idle_timeout" farewell and
+  // closes without reading further. The farewell waits on the socket, so
+  // the next request reads it as its answer; request() must reconnect and
+  // resend, as it does after "busy", not throw for a request the server
+  // never read.
+  ServerConfig server_config;
+  server_config.idle_timeout_ms = 100;
+  TestServer fixture(server_config);
+  Client client(fixture.client_config());
+  EXPECT_EQ(client.request("health").at("status").as_string(), "ok");
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_EQ(client.request("health").at("status").as_string(), "ok");
 }
 
 TEST(ClientTimeout, BackoffSleepsAreCappedAtBackoffMax) {

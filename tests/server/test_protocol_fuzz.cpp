@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "server/protocol.hpp"
+#include "server_test_util.hpp"
 #include "util/rng.hpp"
 
 namespace memstress::server {

@@ -63,6 +63,10 @@ TEST(ServerLoopback, HealthReportsTheDatabase) {
             static_cast<double>(fixture.service->db().size()));
   EXPECT_EQ(health.at("conditions").as_number(),
             static_cast<double>(fixture.service->db().conditions().size()));
+  // The default config asks for workers = 0; health reports the resolved
+  // count the server actually runs.
+  EXPECT_EQ(health.at("workers").as_number(),
+            static_cast<double>(fixture.server.config().workers));
 }
 
 TEST(ServerLoopback, ResponsesAreByteIdenticalToDirectCalls) {
