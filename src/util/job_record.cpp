@@ -53,10 +53,13 @@ void JobRecord::quarantine(std::size_t i, int attempts, std::string reason) {
 }
 
 void JobRecord::count_commit() {
+  // No checkpoint attached: nothing reads the count, so no commit touches
+  // the shared line (run()'s cancel warning counts the slots instead).
+  if (interval_ == 0) return;
   // acq_rel: the commit that reaches a multiple of the interval sees every
   // slot committed before it, so its snapshot holds at least that many.
   const std::size_t n = completed_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (interval_ > 0 && n % interval_ == 0) snapshot();
+  if (n % interval_ == 0) snapshot();
 }
 
 void JobRecord::snapshot() {
@@ -171,7 +174,13 @@ void JobRecord::run(const std::function<void()>& body) {
     // Cooperative shutdown (SIGINT or an explicit token): flush a final
     // snapshot so the job resumes exactly where it stopped, then unwind.
     snapshot();
-    log_warn(kind_.name, ": cancelled after ", completed_.load(), " ",
+    // Without a checkpoint no commit counted itself: count finished slots.
+    std::size_t finished = 0;
+    if (interval_ > 0)
+      finished = completed_.load();
+    else
+      for (std::size_t i = begin_; i < end_; ++i) finished += done(i);
+    log_warn(kind_.name, ": cancelled after ", finished, " ",
              kind_.unit, "; ",
              path_.empty() ? "no checkpoint configured"
                            : "checkpoint flushed to " + path_);

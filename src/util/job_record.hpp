@@ -6,9 +6,11 @@
 //     [0, max_code] (a database verdict, a study outcome mask) in one byte.
 //     The task that owns an index writes its slot once, without a lock.
 //     Attempts and reason exist only for quarantined indices.
-//   * An atomic completion count drives the snapshot cadence: exactly one
-//     commit reaches each multiple of the interval, so the number of
-//     snapshots (robust.checkpoints_written) is scheduling-free.
+//   * An atomic completion count drives the snapshot cadence, only when a
+//     checkpoint is attached: exactly one commit reaches each multiple of
+//     the interval, so the number of snapshots (robust.checkpoints_written)
+//     is scheduling-free. With no checkpoint (the default) a commit is one
+//     slot store and touches no shared counter.
 //   * The one checkpoint codec: a "<kind> 1 <fingerprint> <count>" header,
 //     then one row per finished index in index order, "<i> <code>" or
 //     "<i> Q <attempts> <reason>".
@@ -99,10 +101,11 @@ class JobRecord {
   std::vector<std::atomic<std::uint8_t>> slots_;
   mutable std::mutex quarantine_mutex_;
   std::map<std::size_t, Quarantine> quarantined_;
-  std::atomic<std::size_t> completed_{0};  ///< commits made by this run
+  /// Commits made by this run; counted only with a checkpoint attached.
+  std::atomic<std::size_t> completed_{0};
   std::string path_;                       ///< empty = checkpointing off
   std::string fingerprint_;
-  std::size_t interval_ = 0;
+  std::size_t interval_ = 0;    ///< snapshot cadence; 0 = no checkpoint
   std::mutex snapshot_mutex_;  ///< one snapshot writes the file at a time
 };
 

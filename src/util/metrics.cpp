@@ -181,7 +181,29 @@ void add_span_rows(const SpanValue& span, int depth, double root_total,
     add_span_rows(child, depth + 1, root_total, table);
 }
 
+/// The calling thread's shard: handed out round-robin on its first add.
+std::size_t shard_of_this_thread() {
+  static std::atomic<std::size_t> next{0};
+  constexpr std::size_t kUnassigned = ~std::size_t{0};
+  thread_local std::size_t shard = kUnassigned;
+  if (shard == kUnassigned)
+    shard = next.fetch_add(1, std::memory_order_relaxed) % Counter::kShards;
+  return shard;
+}
+
 }  // namespace
+
+void Counter::add_to_shard(long long delta) {
+  shards_[shard_of_this_thread()].value.fetch_add(delta,
+                                                  std::memory_order_relaxed);
+}
+
+long long Counter::value() const {
+  long long total = 0;
+  for (const Shard& shard : shards_)
+    total += shard.value.load(std::memory_order_relaxed);
+  return total;
+}
 
 Counter& counter(const std::string& name) {
   Registry& reg = registry();
@@ -203,7 +225,8 @@ void reset() {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   for (auto& [name, c] : reg.counters)
-    c->value_.store(0, std::memory_order_relaxed);
+    for (Counter::Shard& shard : c->shards_)
+      shard.value.store(0, std::memory_order_relaxed);
   for (auto& [name, h] : reg.histograms) h->clear();
   reg.notes.clear();
   trace::reset();

@@ -6,9 +6,14 @@
 //     are a relaxed atomic load and a predictable branch when metrics are
 //     off. Call sites cache the registry handle in a function-local static,
 //     so the name lookup happens once per process, not per event.
-//   * Scheduling-free values: counters are atomic accumulators, so their
-//     totals depend only on the work performed, never on how parallel_for
-//     scheduled it — op counts are bit-identical at any MEMSTRESS_THREADS.
+//   * Scheduling-free values: a counter is a fixed array of cache-line
+//     shards, each an atomic accumulator. A thread adds to its own shard
+//     (handed out round-robin on its first add) and a read sums the shards,
+//     so concurrent threads counting one event do not fight over one line,
+//     and totals depend only on the work performed, never on how
+//     parallel_for scheduled it — op counts are bit-identical at any
+//     MEMSTRESS_THREADS. A read taken while a run is adding is a sum of
+//     relaxed loads: each shard is exact, the sum is not one instant's total.
 //   * Registry handles are stable for the process lifetime; reset() zeroes
 //     values but never invalidates a Counter& or Histogram&.
 //
@@ -19,6 +24,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -42,17 +48,27 @@ inline bool enabled() {
 void set_enabled(bool on);
 
 /// A named monotonic event counter. Thread-safe; totals are independent of
-/// scheduling (plain atomic addition).
+/// scheduling (atomic addition into per-thread shards, summed on read).
 class Counter {
  public:
+  /// Shards per counter. The k-th thread to add to any counter adds to
+  /// shard k mod kShards; threads that share a shard cost each other
+  /// contention, never exactness.
+  static constexpr std::size_t kShards = 16;
+
   void add(long long delta = 1) {
-    if (enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+    if (enabled()) add_to_shard(delta);
   }
-  long long value() const { return value_.load(std::memory_order_relaxed); }
+  long long value() const;
 
  private:
   friend void reset();
-  std::atomic<long long> value_{0};
+  struct alignas(64) Shard {
+    std::atomic<long long> value{0};
+  };
+  void add_to_shard(long long delta);
+
+  std::array<Shard, kShards> shards_{};
 };
 
 /// A named value distribution (count / sum / min / max plus log-scaled

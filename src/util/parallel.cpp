@@ -14,6 +14,13 @@
 
 namespace memstress {
 
+namespace {
+
+/// Chunks per thread over a whole range (the grain rule in parallel.hpp).
+constexpr std::size_t kChunksPerThread = 64;
+
+}  // namespace
+
 int default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   const long fallback = hw == 0 ? 1 : static_cast<long>(hw);
@@ -32,6 +39,10 @@ void parallel_for(std::size_t count,
   jobs.add(1);
   tasks.add(static_cast<long long>(count));
 
+  const auto thread_count =
+      static_cast<std::size_t>(resolve_thread_count(threads));
+  const std::size_t grain =
+      std::max<std::size_t>(1, count / (thread_count * kChunksPerThread));
   std::atomic<std::size_t> cursor{0};
   // Tripped on the first body exception (or a failed spawn). It stops
   // claims, and it stops claimed-but-unstarted tasks from executing, which
@@ -44,29 +55,34 @@ void parallel_for(std::size_t count,
 
   // The claim loop every thread runs, the caller included. Claiming before
   // the cancel check means an empty range never throws, even when a token
-  // has already tripped.
+  // has already tripped. Every index of a chunk checks the abandon flag and
+  // both tokens before it runs, as if it had been claimed alone.
   const auto claim_loop = [&] {
     for (;;) {
       if (abandon.load(std::memory_order_relaxed)) return;
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count || abandon.load(std::memory_order_relaxed)) return;
-      if (cancel::requested(cancel)) {
-        saw_cancel.store(true, std::memory_order_relaxed);
-        return;
-      }
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        abandon.store(true, std::memory_order_relaxed);
+      const std::size_t first =
+          cursor.fetch_add(grain, std::memory_order_relaxed);
+      if (first >= count) return;
+      const std::size_t last = first + std::min(grain, count - first);
+      for (std::size_t i = first; i < last; ++i) {
+        if (abandon.load(std::memory_order_relaxed)) return;
+        if (cancel::requested(cancel)) {
+          saw_cancel.store(true, std::memory_order_relaxed);
+          return;
+        }
+        try {
+          body(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (!error) error = std::current_exception();
+          abandon.store(true, std::memory_order_relaxed);
+          return;
+        }
       }
     }
   };
 
   // The caller is one of the threads, and no thread starts without a task.
-  const auto thread_count =
-      static_cast<std::size_t>(resolve_thread_count(threads));
   const std::size_t worker_count =
       count > 1 ? std::min(thread_count, count) - 1 : 0;
   if (worker_count == 0) {

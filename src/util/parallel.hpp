@@ -22,12 +22,19 @@
 //     workers start, every thread (the caller included) adopts the caller's
 //     trace span, so spans opened inside task bodies nest under the
 //     launching span as fan-out nodes.
+//   * Claims are chunks. One atomic claim takes a run of consecutive
+//     indices, max(1, count / (threads * 64)) of them: a large range of
+//     cheap tasks (a 625k-device study) pays one shared-cursor operation
+//     per chunk, not per index, while a range shorter than threads * 64
+//     (characterize's cells) still goes out one index per claim, so uneven
+//     tasks balance. The grain follows from the call alone; nothing sets it.
 //   * Fail-fast and cancellation: after the first task exception, threads
-//     stop claiming AND stop executing — at most one already-claimed task
-//     per thread runs after the throw. Every task boundary also checks the
-//     optional job CancelToken and the process-wide SIGINT token
-//     (util/cancel); an externally cancelled job quiesces and throws
-//     CancelledError from parallel_for (a body exception takes precedence).
+//     stop claiming AND stop executing — at most one already-started task
+//     per thread runs after the throw. Every index, including each one
+//     inside a claimed chunk, first checks the abandon flag, the optional
+//     job CancelToken and the process-wide SIGINT token (util/cancel); an
+//     externally cancelled job quiesces and throws CancelledError from
+//     parallel_for (a body exception takes precedence).
 #pragma once
 
 #include <cstddef>
@@ -48,12 +55,13 @@ int resolve_thread_count(int requested);
 
 /// Run body(i) for every i in [0, count) on resolve_thread_count(threads)
 /// threads, the caller included, and return when the range is done.
-/// Indices are claimed dynamically (an atomic cursor), so uneven task costs
-/// balance across threads. If any body throws, the rest of the range is
-/// abandoned and the first exception is rethrown here after every worker
-/// has been joined. When `cancel` (or the process SIGINT token) trips,
-/// threads stop at the next task boundary and CancelledError is thrown
-/// instead. An empty range never throws.
+/// Indices are claimed dynamically in chunks from an atomic cursor (see the
+/// grain rule above), so uneven task costs balance across threads, and
+/// `parallel.tasks` counts indices, not claims. If any body throws, the rest
+/// of the range is abandoned and the first exception is rethrown here after
+/// every worker has been joined. When `cancel` (or the process SIGINT
+/// token) trips, threads stop at the next index and CancelledError is
+/// thrown instead. An empty range never throws.
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   int threads = 0, const CancelToken* cancel = nullptr);

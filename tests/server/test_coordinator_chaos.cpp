@@ -13,6 +13,8 @@
 // joined before each test returns), which keeps the suite TSan-clean.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+
 #include <chrono>
 #include <string>
 #include <thread>
@@ -203,7 +205,27 @@ TEST(CoordinatorChaos, StudyCompletesWithADeadWorker) {
                          worker_config());
   Coordinator coordinator(coord_config(fleet, 4));
   fleet.kill(1);
+  // A shard takes the survivors microseconds, so running free they could
+  // drain the queue before the dead worker's dispatcher takes a shard.
+  // Hold them stopped (their kernels still accept the shard requests) until
+  // that dispatcher has taken one, failed and requeued it.
+  metrics::set_enabled(true);
+  metrics::Counter& requeued = metrics::counter("coord.shards_requeued");
+  const long long before = requeued.value();
+  const std::vector<pid_t> survivors = {fleet.pid(0), fleet.pid(2)};
+  for (const pid_t pid : survivors) ::kill(pid, SIGSTOP);
+  std::thread releaser([&] {
+    // The deadline only ends a failing run; the assertions below judge it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (requeued.value() == before &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (const pid_t pid : survivors) ::kill(pid, SIGCONT);
+  });
   const study::StudyResult result = coordinator.run_study(config, db);
+  releaser.join();
+  metrics::set_enabled(false);
   EXPECT_EQ(result.summary(), baseline.summary());
   EXPECT_TRUE(coordinator.stats().complete());
   EXPECT_GE(coordinator.stats().shards_requeued, 1);

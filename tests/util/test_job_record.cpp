@@ -342,6 +342,51 @@ TEST(JobRecord, QuarantineReasonRunsToTheEndOfTheLine) {
   EXPECT_EQ(record.quarantine(2)->reason, "unknown");
 }
 
+/// Run 100 commits at one thread, tripping the job token at index 9, and
+/// return the warnings the cancelled run() logged.
+std::vector<std::string> cancel_after_index_9(JobRecord& record) {
+  CancelToken token;
+  WarningCapture capture;
+  EXPECT_THROW(record.run([&] {
+    parallel_for(100,
+                 [&](std::size_t i) {
+                   record.commit(i, 1);
+                   if (i == 9) token.request_cancel();
+                 },
+                 1, &token);
+  }),
+               CancelledError);
+  return capture.warnings;
+}
+
+TEST(JobRecord, CancelWithoutCheckpointCountsTheFinishedIndices) {
+  // No checkpoint: commits count nothing, so the warning counts the slots.
+  JobRecord record(JobKind{"cancelled", "items", 1}, 0, 100);
+  const std::vector<std::string> warnings = cancel_after_index_9(record);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("cancelled after 10 items; no checkpoint"),
+            std::string::npos)
+      << warnings[0];
+}
+
+TEST(JobRecord, CancelWithCheckpointCountsCommitsAndFlushesThem) {
+  const std::string path = scratch_path("cancel");
+  fs::remove(path);
+  JobRecord record(JobKind{"cancelled", "items", 1}, 0, 100);
+  record.attach_checkpoint(path, 1000, 1000,
+                           [] { return std::string("0badf00d"); });
+  const std::vector<std::string> warnings = cancel_after_index_9(record);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("cancelled after 10 items; checkpoint flushed"),
+            std::string::npos)
+      << warnings[0];
+  JobRecord resumed(JobKind{"cancelled", "items", 1}, 0, 100);
+  const std::optional<std::string> payload = checkpoint::load(path);
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(resumed.restore(*payload, "0badf00d", path), 10u);
+  fs::remove(path);
+}
+
 TEST(JobRecord, EightThreadCommitHammerSnapshotsAreSubsetsOfTheFinal) {
   // Interval 1: every commit writes a snapshot. Each committing thread reads
   // the file back right after its own commit — by then the file holds that

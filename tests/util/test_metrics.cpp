@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -102,6 +103,43 @@ TEST(MetricsThreaded, TotalsInvariantAcrossThreadCounts) {
   EXPECT_EQ(totals[0], totals[1]);
   EXPECT_EQ(totals[0], totals[2]);
   EXPECT_EQ(totals[0], 512 * 513 / 2);
+}
+
+/// Start `threads` threads that each add 1..kAddsPerThread to `c` once the
+/// last of them is up, so every shard is written at the same time.
+constexpr long long kAddsPerThread = 2000;
+void add_from_threads(Counter& c, std::size_t threads) {
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t)
+    pool.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      for (long long k = 1; k <= kAddsPerThread; ++k) c.add(k);
+    });
+  for (std::thread& thread : pool) thread.join();
+}
+
+long long expected_total(std::size_t threads) {
+  return static_cast<long long>(threads) * kAddsPerThread *
+         (kAddsPerThread + 1) / 2;
+}
+
+TEST(MetricsThreaded, TwiceAsManyThreadsAsShardsStayExactAcrossReset) {
+  MetricsGuard guard;
+  Counter& c = counter("test.threaded_shards");
+  // 2 * kShards threads that first add in a row share every shard in
+  // pairs: the total must still be exact, and a shard reset() missed would
+  // leave a positive value behind.
+  constexpr std::size_t kThreads = 2 * Counter::kShards;
+  add_from_threads(c, kThreads);
+  ASSERT_EQ(c.value(), expected_total(kThreads));
+  reset();
+  EXPECT_EQ(c.value(), 0);
+  // The handle cached before the reset still counts, on every shard.
+  add_from_threads(c, kThreads);
+  EXPECT_EQ(c.value(), expected_total(kThreads));
+  EXPECT_EQ(&c, &counter("test.threaded_shards"));
 }
 
 TEST(MetricsHistogram, TracksCountSumMinMax) {

@@ -103,6 +103,77 @@ TEST(ParallelFor, CallerRunsTasksBesideThreadsMinusOneWorkers) {
   EXPECT_EQ(distinct.count(std::this_thread::get_id()), 1u);
 }
 
+TEST(ParallelFor, LargeRangeChunksCoverEveryIndexOnceAndStayFailFast) {
+  // 2^20 + 123 indices at 4 threads: far more than threads * 64, so each
+  // claim takes a chunk of 4096 consecutive indices, and the last one is
+  // cut short at the end of the range.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kCount = (std::size_t{1} << 20) + 123;
+  constexpr std::size_t kGrain = kCount / (kThreads * 64);
+  std::vector<std::atomic<unsigned char>> hits(kCount);
+  parallel_for(kCount, [&](std::size_t i) { hits[i].fetch_add(1); },
+               kThreads);
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < kCount; ++i) wrong += hits[i].load() != 1;
+  EXPECT_EQ(wrong, 0u);
+
+  // Fail-fast holds inside a chunk: the throw lands mid-chunk, and no
+  // thread runs on through the rest of the chunk it holds. Each task
+  // outlasts the thrown->abandon window, as in
+  // FailFastBoundsWorkAfterFirstThrow.
+  constexpr std::size_t kThrowAt = 2 * kGrain + 17;
+  std::atomic<bool> thrown{false};
+  std::atomic<long> started_after_throw{0};
+  std::atomic<long> executed{0};
+  EXPECT_THROW(
+      parallel_for(kCount,
+                   [&](std::size_t i) {
+                     if (i == kThrowAt) {
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(2));
+                       thrown.store(true);
+                       throw std::runtime_error("boom");
+                     }
+                     if (thrown.load()) started_after_throw.fetch_add(1);
+                     executed.fetch_add(1);
+                     std::this_thread::sleep_for(
+                         std::chrono::microseconds(200));
+                   },
+                   kThreads),
+      std::runtime_error);
+  EXPECT_LE(started_after_throw.load(), kThreads);
+  EXPECT_LT(executed.load(), static_cast<long>(kCount) / 2);
+}
+
+TEST(ParallelFor, FewHeavyTasksGoOutOneIndexPerClaim) {
+  // 26 tasks at 4 threads (the cell count of a small characterize grid) is
+  // fewer than threads * 64, so every claim takes one index. Each of the
+  // first four tasks holds its thread until all four have started; only
+  // one-index claims can start them on four threads at once (a two-index
+  // chunk would queue index 1 behind index 0 on one thread). The wait's
+  // timeout only ends a failing run; no assertion reads the clock.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCount = 26;
+  std::mutex mutex;
+  std::condition_variable all_started;
+  std::size_t started = 0;
+  std::vector<std::thread::id> seen(kCount);
+  parallel_for(
+      kCount,
+      [&](std::size_t i) {
+        std::unique_lock<std::mutex> lock(mutex);
+        seen[i] = std::this_thread::get_id();
+        if (i >= kThreads) return;
+        if (++started == kThreads) all_started.notify_all();
+        all_started.wait_for(lock, std::chrono::seconds(60),
+                             [&] { return started == kThreads; });
+      },
+      static_cast<int>(kThreads));
+  const std::set<std::thread::id> first_four(seen.begin(),
+                                             seen.begin() + kThreads);
+  EXPECT_EQ(first_four.size(), kThreads);
+}
+
 TEST(ParallelFor, EmptyAndSingleRangesWork) {
   int calls = 0;
   parallel_for(0, [&](std::size_t) { ++calls; }, 4);
