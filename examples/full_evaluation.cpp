@@ -179,7 +179,7 @@ int run(int argc, char** argv) {
               "schedule: %zu legs.\n",
               study.venn.total(), study.venn.vlv_only, best.legs.size());
 
-  // With MEMSTRESS_METRICS=1 (or PipelineConfig::metrics=1), account for
+  // With MEMSTRESS_METRICS=1 (or metrics::set_enabled(true)), account for
   // every operation the run performed: counters, histograms and the span
   // tree, as a table for humans and one JSON line for trend tooling.
   if (metrics::enabled()) {

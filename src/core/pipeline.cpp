@@ -12,7 +12,6 @@ StressEvaluationPipeline::StressEvaluationPipeline(PipelineConfig config)
     : config_(std::move(config)),
       layout_(layout::generate_sram_layout(config_.layout_rows,
                                            config_.layout_cols)) {
-  if (config_.metrics >= 0) metrics::set_enabled(config_.metrics != 0);
   bridges_ = layout::extract_bridges(layout_, config_.extraction);
   opens_ = layout::extract_opens(layout_, config_.extraction);
   config_.characterization.block = config_.block;

@@ -59,12 +59,6 @@ struct PipelineConfig {
   /// std::function: callers can capture state, and characterize() serializes
   /// invocations so the callee needs no locking even at high thread counts.
   estimator::ProgressFn progress;
-
-  /// Observability hook: 1 forces metrics/span recording on for the process,
-  /// 0 forces it off, -1 (default) leaves the MEMSTRESS_METRICS environment
-  /// toggle in charge. Counters are scheduling-free, so a metrics-enabled
-  /// run reports identical op counts at any MEMSTRESS_THREADS.
-  int metrics = -1;
 };
 
 class StressEvaluationPipeline {
@@ -97,7 +91,7 @@ class StressEvaluationPipeline {
 
   /// Snapshot of everything observed since the last metrics::reset():
   /// counters, histograms and the span tree. Empty unless metrics are
-  /// enabled (PipelineConfig::metrics or MEMSTRESS_METRICS=1).
+  /// enabled (metrics::set_enabled(true) or MEMSTRESS_METRICS=1).
   metrics::RunReport run_report() const { return metrics::collect(); }
 
   const PipelineConfig& config() const { return config_; }

@@ -22,8 +22,9 @@ using layout::BridgeCategory;
 using layout::OpenCategory;
 
 int MemoryGeometry::address_bits() const {
+  // A 64-bit shift: x_rows <= INT_MAX < 2^31, so this stops at 31 bits.
   int bits = 0;
-  while ((1 << bits) < x_rows) ++bits;
+  while ((1LL << bits) < x_rows) ++bits;
   return bits;
 }
 

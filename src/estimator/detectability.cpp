@@ -6,6 +6,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <tuple>
 
@@ -25,60 +26,19 @@ namespace memstress::estimator {
 using defects::Defect;
 using defects::DefectKind;
 
-void DetectabilityDb::add(DbEntry entry) {
-  entries_.push_back(entry);
-  index_.reset();
-}
-
-void DetectabilityDb::LazyIndex::reset() noexcept {
-  std::lock_guard<std::mutex> lock(mutex);
-  ready.store(nullptr, std::memory_order_relaxed);
-  built.reset();
-}
-
-void DetectabilityDb::add_quarantine(QuarantineEntry entry) {
-  quarantine_.push_back(std::move(entry));
-}
-
-DetectabilityDb DetectabilityDb::with_quarantine_assumed(bool detected) const {
-  DetectabilityDb db;
-  db.fingerprint_ = fingerprint_;
-  db.technology_ = technology_;
-  db.entries_ = entries_;
-  db.entries_.reserve(entries_.size() + quarantine_.size());
-  for (const QuarantineEntry& q : quarantine_) {
-    DbEntry e;
-    e.kind = q.kind;
-    e.category = q.category;
-    e.resistance = q.resistance;
-    e.vbd = q.vbd;
-    e.vdd = q.vdd;
-    e.period = q.period;
-    e.detected = detected;
-    db.entries_.push_back(e);
-  }
-  return db;
-}
-
-std::string QuarantineEntry::describe() const {
-  return defect_tag + " @ " + fmt_fixed(vdd, 2) + " V / " + fmt_time(period) +
-         ": " + reason + " (" + std::to_string(attempts) + " attempts)";
-}
-
-const DetectabilityDb::Index& DetectabilityDb::index() const {
-  if (const Index* ready = index_.ready.load(std::memory_order_acquire))
-    return *ready;
-  std::lock_guard<std::mutex> lock(index_.mutex);
-  if (index_.built) return *index_.built;
-  {
-    static metrics::Counter& rebuilds =
-        metrics::counter("estimator.db_index_rebuilds");
-    rebuilds.add(1);
-  }
-  auto built = std::make_unique<Index>();
+DetectabilityDb::DetectabilityDb(std::vector<DbEntry> entries,
+                                 std::vector<QuarantineEntry> quarantine,
+                                 std::string fingerprint,
+                                 tech::Technology technology)
+    : entries_(std::move(entries)),
+      quarantine_(std::move(quarantine)),
+      fingerprint_(std::move(fingerprint)),
+      technology_(technology) {
+  // Groups in first-seen order, entries in insertion order within a group:
+  // the order detected()'s lowest-index tie-break is defined against.
   for (std::uint32_t i = 0; i < entries_.size(); ++i) {
     const DbEntry& e = entries_[i];
-    Bucket& bucket = (*built)[{static_cast<int>(e.kind), e.category}];
+    Bucket& bucket = index_[{static_cast<int>(e.kind), e.category}];
     ConditionGroup* group = nullptr;
     for (auto& g : bucket.groups) {
       if (g.vdd == e.vdd && g.period == e.period) {
@@ -93,9 +53,28 @@ const DetectabilityDb::Index& DetectabilityDb::index() const {
     group->entry_indices.push_back(i);
     group->log_resistance.push_back(std::log(e.resistance));
   }
-  index_.built = std::move(built);
-  index_.ready.store(index_.built.get(), std::memory_order_release);
-  return *index_.built;
+}
+
+DetectabilityDb DetectabilityDb::with_quarantine_assumed(bool detected) const {
+  std::vector<DbEntry> entries = entries_;
+  entries.reserve(entries_.size() + quarantine_.size());
+  for (const QuarantineEntry& q : quarantine_) {
+    DbEntry e;
+    e.kind = q.kind;
+    e.category = q.category;
+    e.resistance = q.resistance;
+    e.vbd = q.vbd;
+    e.vdd = q.vdd;
+    e.period = q.period;
+    e.detected = detected;
+    entries.push_back(e);
+  }
+  return DetectabilityDb(std::move(entries), {}, fingerprint_, technology_);
+}
+
+std::string QuarantineEntry::describe() const {
+  return defect_tag + " @ " + fmt_fixed(vdd, 2) + " V / " + fmt_time(period) +
+         ": " + reason + " (" + std::to_string(attempts) + " attempts)";
 }
 
 bool DetectabilityDb::detected(DefectKind kind, int category, double resistance,
@@ -105,9 +84,8 @@ bool DetectabilityDb::detected(DefectKind kind, int category, double resistance,
         metrics::counter("estimator.db_lookups");
     lookups.add(1);
   }
-  const Index& idx = index();
-  const auto it = idx.find({static_cast<int>(kind), category});
-  require(it != idx.end(),
+  const auto it = index_.find({static_cast<int>(kind), category});
+  require(it != index_.end(),
           "DetectabilityDb: no entries for this defect class");
 
   // Condition distance dominates; defect parameters break ties within a
@@ -311,9 +289,8 @@ DetectabilityDb DetectabilityDb::from_csv(
   require(content.header == kCsvHeader,
           "DetectabilityDb: bad CSV header (expected "
           "kind,category,resistance,vbd,vdd,period,detected)");
-  DetectabilityDb db;
-  db.fingerprint_ = std::move(fingerprint);
-  db.technology_ = technology;
+  std::vector<DbEntry> entries;
+  entries.reserve(content.rows.size());
   for (std::size_t r = 0; r < content.rows.size(); ++r) {
     const auto& row = content.rows[r];
     require(row.size() == 7,
@@ -336,9 +313,10 @@ DetectabilityDb DetectabilityDb::from_csv(
             "DetectabilityDb: row " + std::to_string(r + 1) +
                 ": detected flag must be 0 or 1, got \"" + row[6] + "\"");
     e.detected = row[6] == "1";
-    db.add(e);
+    entries.push_back(e);
   }
-  return db;
+  return DetectabilityDb(std::move(entries), {}, std::move(fingerprint),
+                         technology);
 }
 
 void DetectabilityDb::save(const std::string& path) const {
@@ -547,9 +525,8 @@ DetectabilityDb characterize(const CharacterizeSpec& spec,
 DetectabilityDb assemble_db(const CharacterizeSpec& spec,
                             const std::vector<GridPoint>& grid,
                             const JobRecord& record) {
-  DetectabilityDb db;
-  db.set_fingerprint(spec_fingerprint(spec));
-  db.set_technology(spec.technology);
+  std::vector<DbEntry> entries;
+  std::vector<QuarantineEntry> quarantine;
   static metrics::Counter& quarantined =
       metrics::counter("robust.quarantined_points");
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -559,7 +536,7 @@ DetectabilityDb assemble_db(const CharacterizeSpec& spec,
     if (!failure) {
       DbEntry e = grid[i].entry;
       e.detected = record.code(i) == 1;
-      db.add(e);
+      entries.push_back(e);
       continue;
     }
     const DbEntry& e = grid[i].entry;
@@ -569,9 +546,10 @@ DetectabilityDb assemble_db(const CharacterizeSpec& spec,
     quarantined.add(1);
     metrics::note("robust.quarantine: " + q.describe());
     log_warn("characterize: quarantined ", q.describe());
-    db.add_quarantine(std::move(q));
+    quarantine.push_back(std::move(q));
   }
-  return db;
+  return DetectabilityDb(std::move(entries), std::move(quarantine),
+                         spec_fingerprint(spec), spec.technology);
 }
 
 std::vector<GridPoint> characterize_grid(const CharacterizeSpec& spec) {

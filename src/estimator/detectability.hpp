@@ -8,12 +8,9 @@
 // expensive IFA + analogue flow.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,9 +60,20 @@ struct QuarantineEntry {
   std::string describe() const;
 };
 
+/// An immutable value: built whole by its constructor, which also builds the
+/// lookup index, and never changed afterwards. Copies and moves carry the
+/// index with them, and concurrent lookups from any number of threads read
+/// it without a lock.
 class DetectabilityDb {
  public:
-  void add(DbEntry entry);
+  /// Takes the database's whole content (each part is described at its
+  /// accessor below) and builds the lookup index over `entries`.
+  explicit DetectabilityDb(
+      std::vector<DbEntry> entries = {},
+      std::vector<QuarantineEntry> quarantine = {},
+      std::string fingerprint = "",
+      tech::Technology technology = tech::Technology::Sram6T);
+
   std::size_t size() const { return entries_.size(); }
   const std::vector<DbEntry>& entries() const { return entries_; }
 
@@ -75,26 +83,21 @@ class DetectabilityDb {
   /// Empty for hand-built databases (and for legacy cache files, which is
   /// how the pipeline detects them as unverifiable and re-characterizes).
   const std::string& fingerprint() const { return fingerprint_; }
-  void set_fingerprint(std::string fingerprint) {
-    fingerprint_ = std::move(fingerprint);
-  }
 
   /// Which technology backend produced the entries. Sram6T for hand-built
   /// and legacy databases; persisted to the CSV as a "#technology=<name>"
   /// line (only when non-default, so legacy SRAM cache files stay
   /// byte-identical).
   tech::Technology technology() const { return technology_; }
-  void set_technology(tech::Technology technology) { technology_ = technology; }
 
   /// Per-run quarantine list: grid points whose simulation failed after all
   /// retries. Not persisted by to_csv()/save() — a cache file only ever
   /// represents a fully characterized database.
-  void add_quarantine(QuarantineEntry entry);
   const std::vector<QuarantineEntry>& quarantine() const { return quarantine_; }
 
-  /// A copy where every quarantined point is materialized as a real entry
-  /// carrying the given `detected` assumption (and the quarantine list is
-  /// cleared). The estimator derives its best-case (assume detected) and
+  /// A database where every quarantined point is materialized as a real
+  /// entry carrying the given `detected` assumption (and with no quarantine
+  /// list). The estimator derives its best-case (assume detected) and
   /// worst-case (assume escape) coverage bounds from these.
   DetectabilityDb with_quarantine_assumed(bool detected) const;
 
@@ -102,14 +105,13 @@ class DetectabilityDb {
   /// condition, then nearest (log-resistance, breakdown-voltage) point.
   /// Throws Error when no entry exists for the (kind, category) at all.
   ///
-  /// Served from a lazily built per-(kind, category) index bucketed by
-  /// stress condition — O(bucket) instead of O(entries) — and guaranteed to
-  /// return exactly what a linear scan over `entries()` would. The index
-  /// caches each entry's log-resistance. A lookup scans the condition group
-  /// nearest the query first, then skips every other group whose condition
-  /// cost alone exceeds the best match found; it allocates nothing.
-  /// Concurrent lookups from many threads are safe; `add()` invalidates the
-  /// index.
+  /// Served from the per-(kind, category) index the constructor built,
+  /// bucketed by stress condition — O(bucket) instead of O(entries) — and
+  /// guaranteed to return exactly what a linear scan over `entries()` would.
+  /// The index caches each entry's log-resistance. A lookup scans the
+  /// condition group nearest the query first, then skips every other group
+  /// whose condition cost alone exceeds the best match found; it allocates
+  /// nothing and takes no lock.
   bool detected(defects::DefectKind kind, int category, double resistance,
                 double vdd, double period, double vbd = 0.0) const;
   bool detected(const defects::Defect& defect, const sram::StressPoint& at) const;
@@ -145,32 +147,13 @@ class DetectabilityDb {
   struct Bucket {
     std::vector<ConditionGroup> groups;
   };
-  using Index = std::map<std::pair<int, int>, Bucket>;
-
-  /// The lazily built lookup index. It never travels with a copy or move —
-  /// the destination rebuilds it against its own entries on demand — and
-  /// once built it is read without the mutex, so a lookup takes no lock.
-  struct LazyIndex {
-    LazyIndex() = default;
-    LazyIndex(const LazyIndex&) noexcept {}
-    LazyIndex& operator=(const LazyIndex&) noexcept {
-      reset();
-      return *this;
-    }
-    void reset() noexcept;
-
-    std::mutex mutex;  ///< guards building `built`
-    std::unique_ptr<const Index> built;
-    std::atomic<const Index*> ready{nullptr};  ///< built.get() once built
-  };
-
-  const Index& index() const;
 
   std::vector<DbEntry> entries_;
   std::vector<QuarantineEntry> quarantine_;
   std::string fingerprint_;
-  tech::Technology technology_ = tech::Technology::Sram6T;
-  mutable LazyIndex index_;
+  tech::Technology technology_;
+  /// (kind, category) -> its condition groups, in first-seen order.
+  std::map<std::pair<int, int>, Bucket> index_;
 };
 
 /// Grid over which to characterize. The defaults are the paper's corners:

@@ -74,14 +74,12 @@ struct Coordinator::Engine {
   std::vector<int> in_flight;   ///< concurrent dispatches (hedging => 2)
   std::vector<std::string> last_error;
   std::size_t terminal = 0;     ///< Done + Unresolved
-  int live_workers = 0;
 
   void run() {
     phase.assign(shard_count, ShardPhase::kPending);
     attempts.assign(shard_count, 0);
     in_flight.assign(shard_count, 0);
     last_error.assign(shard_count, "");
-    live_workers = static_cast<int>(config.workers.size());
     stats.shards_total = static_cast<long>(shard_count);
 
     std::vector<std::thread> dispatchers;
@@ -315,7 +313,6 @@ struct Coordinator::Engine {
         std::lock_guard<std::mutex> lock(mutex);
         ++stats.workers_dead;
         dead.add(1);
-        --live_workers;
         log_warn("coordinator: worker ", endpoint.address, ":", endpoint.port,
                  " declared dead after ", config.probe_attempts,
                  " failed health probes");

@@ -96,10 +96,20 @@ long long Json::int_or(const std::string& key, long long fallback) const {
   const Json* hit = find(key);
   if (!hit) return fallback;
   const double value = hit->as_number();
-  const long long as_int = static_cast<long long>(value);
-  if (static_cast<double>(as_int) != value)
+  // Range-check before the cast: a double outside long long's range has no
+  // defined conversion.
+  if (!(value >= -0x1p63 && value < 0x1p63) || std::trunc(value) != value)
     throw ProtocolError("field \"" + key + "\" must be an integer");
-  return as_int;
+  return static_cast<long long>(value);
+}
+
+long long int_field(const Json& json, const char* name, long long lo,
+                    long long hi, long long fallback, const char* context) {
+  const long long value = json.int_or(name, fallback);
+  if (value < lo || value > hi)
+    throw ProtocolError(std::string(context) + "\"" + name + "\" must be in [" +
+                        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return value;
 }
 
 std::string Json::string_or(const std::string& key,

@@ -144,6 +144,14 @@ class Json {
   std::vector<Member> object_;
 };
 
+/// `json[name]` (`fallback` when absent) as an integer in [lo, hi]. The
+/// range check comes before any narrowing cast, so an out-of-range request
+/// value is a ProtocolError naming the field (after `context`), never a
+/// wrapped number.
+long long int_field(const Json& json, const char* name, long long lo,
+                    long long hi, long long fallback,
+                    const char* context = "");
+
 /// The fixed number rendering used by dump(): integral values in
 /// [-2^53, 2^53] print as integers, everything else as %.17g. Exposed so
 /// tests and the bench can pin the format.

@@ -91,6 +91,10 @@ void set_nonblocking(int fd) {
 }
 
 constexpr int kTickMs = 25;  ///< epoll_wait bound; timer sweep granularity
+/// How long start() waits out a pinned port that a predecessor still holds:
+/// 20 more binds, 50 ms apart, about 1 s.
+constexpr int kBindRetries = 20;
+constexpr int kBindRetryMs = 50;
 
 }  // namespace
 
@@ -163,8 +167,7 @@ void Server::start() {
   // restarts hit this). Retry EADDRINUSE on a bounded schedule, warning
   // once; any other bind failure — and an ephemeral-port request — is
   // immediately fatal as before.
-  const int attempts =
-      config_.port > 0 ? std::max(1, config_.bind_retries + 1) : 1;
+  const int attempts = config_.port > 0 ? kBindRetries + 1 : 1;
   bool warned = false;
   for (int attempt = 1;; ++attempt) {
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
@@ -179,10 +182,9 @@ void Server::start() {
         warned = true;
         log_warn("memstressd: ", config_.address, ":", config_.port,
                  " still in use; retrying bind up to ", attempts - attempt,
-                 " more times every ", config_.bind_retry_ms, " ms");
+                 " more times every ", kBindRetryMs, " ms");
       }
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(config_.bind_retry_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kBindRetryMs));
       continue;
     }
     const std::string reason = std::strerror(bind_errno);

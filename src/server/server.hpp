@@ -119,14 +119,6 @@ struct ServerConfig {
   int cache_entries = 1024;
   /// Largest accepted batch "requests" list (MEMSTRESS_BATCH_MAX).
   int batch_max = 256;
-  /// Bounded bind retry for EADDRINUSE on a pinned port. A restart can race
-  /// the kernel's release of the old listener even with SO_REUSEADDR (the
-  /// old fd may still be closing, or a previous process just exited);
-  /// start() retries the bind every bind_retry_ms up to bind_retries times
-  /// — warning once, not per attempt — before giving up. Ephemeral ports
-  /// (port == 0) never retry: a fresh bind cannot collide with itself.
-  int bind_retries = 20;
-  int bind_retry_ms = 50;
 
   /// The ServiceInfo slice of this configuration, for constructing the
   /// MemstressService the server will front. `workers` is resolved the way
@@ -149,7 +141,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Bind + listen + spawn the reactor and worker pool. Throws Error when
-  /// the address cannot be bound.
+  /// the address cannot be bound. A pinned port that is still in use (a
+  /// restart racing the old listener's release) is retried for about 1 s
+  /// first; an ephemeral port (port == 0) never retries.
   void start();
 
   /// The actually bound port (resolves config.port == 0).

@@ -1,6 +1,7 @@
 #include "server/service.hpp"
 
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "estimator/dpm.hpp"
@@ -34,21 +35,32 @@ MemstressService::MemstressService(
 
 namespace {
 
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
 MemoryGeometry parse_geometry(const Json& params) {
   MemoryGeometry geometry;
-  if (const Json* g = params.find("geometry")) {
-    geometry.x_rows = static_cast<int>(g->int_or("x_rows", geometry.x_rows));
-    geometry.y_columns =
-        static_cast<int>(g->int_or("y_columns", geometry.y_columns));
-    geometry.bits_per_word =
-        static_cast<int>(g->int_or("bits_per_word", geometry.bits_per_word));
-    geometry.z_blocks =
-        static_cast<int>(g->int_or("z_blocks", geometry.z_blocks));
+  const Json* g = params.find("geometry");
+  if (!g) return geometry;
+  const auto field = [g](const char* name, int lo, int fallback) {
+    return static_cast<int>(
+        int_field(*g, name, lo, kIntMax, fallback, "geometry "));
+  };
+  geometry.x_rows = field("x_rows", 4, geometry.x_rows);
+  geometry.y_columns = field("y_columns", 1, geometry.y_columns);
+  geometry.bits_per_word = field("bits_per_word", 1, geometry.bits_per_word);
+  geometry.z_blocks = field("z_blocks", 1, geometry.z_blocks);
+  // The cell count must fit an int too, so every count derived from the
+  // geometry (cells(), physical_columns()) does. Each partial product is at
+  // most INT_MAX before the next factor, so none of them overflows.
+  long long cells = 1;
+  for (const int factor : {geometry.x_rows, geometry.y_columns,
+                           geometry.bits_per_word, geometry.z_blocks}) {
+    cells *= factor;
+    if (cells > kIntMax)
+      throw ProtocolError(
+          "geometry too large: x_rows * y_columns * bits_per_word * z_blocks "
+          "must be at most " + std::to_string(kIntMax) + " cells");
   }
-  if (geometry.x_rows < 4 || geometry.y_columns < 1 ||
-      geometry.bits_per_word < 1 || geometry.z_blocks < 1)
-    throw ProtocolError("geometry out of range (need x_rows >= 4 and "
-                        "positive y_columns/bits_per_word/z_blocks)");
   return geometry;
 }
 
@@ -189,7 +201,8 @@ namespace {
 int parse_category(const Json& params, defects::DefectKind kind) {
   const Json& value = params.at("category");
   if (value.type() != Json::Type::String)
-    return static_cast<int>(value.as_number());
+    return static_cast<int>(int_field(
+        params, "category", std::numeric_limits<int>::min(), kIntMax, 0));
   const std::string& name = value.as_string();
   int count = 0;
   switch (kind) {

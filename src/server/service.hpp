@@ -2,10 +2,10 @@
 // sockets in sight.
 //
 // One service instance is shared by every worker thread. That is safe
-// because everything it holds is immutable after construction: the
-// detectability database (lookups go through the lazily built index, which
-// is thread-safe), the population model, the fab model and the defect
-// sampler are all const-queried. Handlers that need randomness (schedule)
+// because everything it holds is immutable after construction: an
+// immutable database (lookups read its index without a lock), the
+// population model, the fab model and the defect sampler are all
+// const-queried. Handlers that need randomness (schedule)
 // seed a local Rng from the request, so two identical requests — or the
 // same request served by different workers — produce byte-identical
 // payloads. Tests lean on that: they call handle() directly and compare

@@ -47,15 +47,6 @@ std::vector<double> axis_from_json(const Json& json, const char* name,
   return values;
 }
 
-long long int_field(const Json& json, const char* name, long long lo,
-                    long long hi, long long fallback) {
-  const long long value = json.int_or(name, fallback);
-  if (value < lo || value > hi)
-    throw ProtocolError(std::string("\"") + name + "\" must be in [" +
-                        std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  return value;
-}
-
 /// A finite, strictly positive number field (required when its enclosing
 /// object is present — the sub-objects carry full parameter sets so a spec
 /// round-trips without relying on both sides compiling the same defaults).
@@ -211,9 +202,6 @@ estimator::CharacterizeSpec characterize_spec_from_json(const Json& json) {
           "\"undervolt\" parameters require \"technology\": \"undervolt\"");
     spec.undervolt = undervolt_from_json(*undervolt);
   }
-  // Shards never checkpoint: the coordinator retries whole shards instead.
-  spec.checkpoint_path.clear();
-  spec.checkpoint_interval = -1;
   return spec;
 }
 
@@ -258,8 +246,6 @@ study::StudyConfig study_config_from_json(const Json& json) {
   const long long seed = int_field(json, "seed", 0, 1LL << 53, 2005);
   config.seed = static_cast<std::uint64_t>(seed);
   config.threads = static_cast<int>(int_field(json, "threads", 0, 256, 1));
-  config.checkpoint_path.clear();
-  config.checkpoint_interval = -1;
   return config;
 }
 

@@ -32,19 +32,19 @@ CharacterizeSpec tiny_spec() {
 /// coordinator does (ASSERTs, so callers must be the test body's scope).
 void merge(const CharacterizeSpec& spec, const std::vector<GridPoint>& grid,
            const std::vector<PointVerdict>& verdicts, DetectabilityDb& db) {
-  db = DetectabilityDb();
-  db.set_fingerprint(spec_fingerprint(spec));
   std::vector<int> detected(grid.size(), -1);
   for (const PointVerdict& v : verdicts) {
     ASSERT_FALSE(v.quarantined) << "tiny grid must simulate cleanly";
     detected[v.index] = v.detected ? 1 : 0;
   }
+  std::vector<DbEntry> entries;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_GE(detected[i], 0) << "grid point " << i << " never resolved";
     DbEntry entry = grid[i].entry;
     entry.detected = detected[i] == 1;
-    db.add(entry);
+    entries.push_back(entry);
   }
+  db = DetectabilityDb(std::move(entries), {}, spec_fingerprint(spec));
 }
 
 TEST(CharacterizeRange, ShardSplitsMergeToTheSingleNodeBytes) {

@@ -294,7 +294,7 @@ TEST(CharacterizeRobust, Table1BoundsBracketPointEstimate) {
   // Quarantine a bridge point at a resistance the grid does not cover: the
   // best/worst assumptions then disagree on nearby lookups and the bounds
   // open up around the point estimate.
-  DetectabilityDb with_unknowns = clean;
+  std::vector<QuarantineEntry> unknowns;
   for (const double vdd : {1.0, 1.65, 1.8, 1.95}) {
     QuarantineEntry q;
     q.defect_tag = "bridge[test-quarantined]";
@@ -305,8 +305,10 @@ TEST(CharacterizeRobust, Table1BoundsBracketPointEstimate) {
     q.period = vdd < 1.2 ? 100e-9 : 25e-9;
     q.reason = "newton-non-convergence: injected";
     q.attempts = 3;
-    with_unknowns.add_quarantine(q);
+    unknowns.push_back(q);
   }
+  const DetectabilityDb with_unknowns(clean.entries(), std::move(unknowns),
+                                      clean.fingerprint(), clean.technology());
   const FaultCoverageEstimator est(with_unknowns, population, fab);
   const EstimatorReport report = est.table1(MemoryGeometry{});
   EXPECT_EQ(report.quarantined, 4u);
@@ -322,7 +324,6 @@ TEST(CharacterizeRobust, Table1BoundsBracketPointEstimate) {
 }
 
 TEST(CharacterizeRobust, WithQuarantineAssumedMaterializesEntries) {
-  DetectabilityDb db;
   DbEntry e;
   e.kind = defects::DefectKind::Bridge;
   e.category = 0;
@@ -330,14 +331,13 @@ TEST(CharacterizeRobust, WithQuarantineAssumedMaterializesEntries) {
   e.vdd = 1.8;
   e.period = 25e-9;
   e.detected = true;
-  db.add(e);
   QuarantineEntry q;
   q.kind = defects::DefectKind::Bridge;
   q.category = 0;
   q.resistance = 9e3;
   q.vdd = 1.0;
   q.period = 100e-9;
-  db.add_quarantine(q);
+  const DetectabilityDb db({e}, {q});
 
   for (const bool assumed : {false, true}) {
     const DetectabilityDb resolved = db.with_quarantine_assumed(assumed);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/csv.hpp"
 
 namespace memstress::estimator {
@@ -14,7 +16,7 @@ using layout::OpenCategory;
 /// Synthetic DB: every bridge category detected iff (vdd < 1.2 or R <= 1k);
 /// opens detected iff vdd > 1.9.
 DetectabilityDb synthetic_db() {
-  DetectabilityDb db;
+  std::vector<DbEntry> entries;
   for (int cat = 0; cat <= static_cast<int>(BridgeCategory::CellGateOxide); ++cat) {
     for (const double r : {20.0, 1e3, 10e3, 90e3}) {
       for (const double vdd : {1.0, 1.65, 1.8, 1.95}) {
@@ -26,7 +28,7 @@ DetectabilityDb synthetic_db() {
           e.vdd = vdd;
           e.period = period;
           e.detected = vdd < 1.2 || r <= 1e3;
-          db.add(e);
+          entries.push_back(e);
         }
       }
     }
@@ -42,12 +44,12 @@ DetectabilityDb synthetic_db() {
           e.vdd = vdd;
           e.period = period;
           e.detected = vdd > 1.9;
-          db.add(e);
+          entries.push_back(e);
         }
       }
     }
   }
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 FaultCoverageEstimator make_estimator() {
@@ -65,6 +67,13 @@ TEST(MemoryGeometry, DerivedQuantities) {
   EXPECT_EQ(g.physical_columns(), 512);
   EXPECT_EQ(g.address_bits(), 9);
   EXPECT_GT(g.conductor_area_um2(), 0.0);
+}
+
+TEST(MemoryGeometry, AddressBitsTerminateForEveryRowCount) {
+  // A 32-bit shift overflows past 2^30 rows and never reaches x_rows.
+  EXPECT_EQ(MemoryGeometry{1 << 30}.address_bits(), 30);
+  EXPECT_EQ(MemoryGeometry{(1 << 30) + 1}.address_bits(), 31);
+  EXPECT_EQ(MemoryGeometry{std::numeric_limits<int>::max()}.address_bits(), 31);
 }
 
 TEST(PopulationModel, ScalesCellCategoriesWithCellCount) {

@@ -29,22 +29,24 @@ DbEntry entry(DefectKind kind, int category, double r, double vdd, double period
 
 /// A synthetic database encoding a "VLV detects high-ohmic bridges" rule.
 DetectabilityDb synthetic_db() {
-  DetectabilityDb db;
+  std::vector<DbEntry> entries;
   const int cat = static_cast<int>(BridgeCategory::CellTrueFalse);
   for (const double vdd : {1.0, 1.65, 1.8, 1.95}) {
     for (const double period : {100e-9, 25e-9, 15e-9}) {
-      db.add(entry(DefectKind::Bridge, cat, 1e3, vdd, period, true));
-      db.add(entry(DefectKind::Bridge, cat, 90e3, vdd, period, vdd < 1.2));
+      entries.push_back(entry(DefectKind::Bridge, cat, 1e3, vdd, period, true));
+      entries.push_back(
+          entry(DefectKind::Bridge, cat, 90e3, vdd, period, vdd < 1.2));
     }
   }
   const int open_cat = static_cast<int>(OpenCategory::CellAccess);
   for (const double vdd : {1.0, 1.65, 1.8, 1.95}) {
     for (const double period : {100e-9, 25e-9, 15e-9}) {
       // Opens detected only at Vmax in this synthetic world.
-      db.add(entry(DefectKind::Open, open_cat, 30e3, vdd, period, vdd > 1.9));
+      entries.push_back(
+          entry(DefectKind::Open, open_cat, 30e3, vdd, period, vdd > 1.9));
     }
   }
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 TEST(DetectabilityDb, ExactLookup) {
@@ -92,10 +94,10 @@ TEST(DetectabilityDb, DefectOverloadUsesCategories) {
 }
 
 TEST(DetectabilityDb, VbdAxisSeparatesEntries) {
-  DetectabilityDb db;
   const int cat = static_cast<int>(BridgeCategory::CellGateOxide);
-  db.add(entry(DefectKind::Bridge, cat, 5e3, 1.95, 25e-9, true, 1.85));
-  db.add(entry(DefectKind::Bridge, cat, 5e3, 1.95, 25e-9, false, 2.4));
+  const DetectabilityDb db(
+      {entry(DefectKind::Bridge, cat, 5e3, 1.95, 25e-9, true, 1.85),
+       entry(DefectKind::Bridge, cat, 5e3, 1.95, 25e-9, false, 2.4)});
   EXPECT_TRUE(db.detected(DefectKind::Bridge, cat, 5e3, 1.95, 25e-9, 1.9));
   EXPECT_FALSE(db.detected(DefectKind::Bridge, cat, 5e3, 1.95, 25e-9, 2.5));
 }
@@ -158,11 +160,13 @@ TEST(CornerOutcomes, ClassifiesVmaxOnlyDefect) {
 }
 
 TEST(CornerOutcomes, AllClearForDetectedNowhere) {
-  DetectabilityDb db;
+  std::vector<DbEntry> entries;
   const int cat = static_cast<int>(BridgeCategory::CellNodeVdd);
   for (const double vdd : {1.0, 1.65, 1.8, 1.95})
     for (const double period : {100e-9, 25e-9, 15e-9})
-      db.add(entry(DefectKind::Bridge, cat, 1e6, vdd, period, false));
+      entries.push_back(
+          entry(DefectKind::Bridge, cat, 1e6, vdd, period, false));
+  const DetectabilityDb db(std::move(entries));
   Defect d;
   d.kind = DefectKind::Bridge;
   d.bridge_category = BridgeCategory::CellNodeVdd;

@@ -18,8 +18,9 @@
 namespace memstress::estimator {
 namespace {
 
-DetectabilityDb synthetic_db() {
-  DetectabilityDb db;
+DetectabilityDb synthetic_db(std::string fingerprint = "",
+                             std::vector<QuarantineEntry> quarantine = {}) {
+  std::vector<DbEntry> entries;
   for (int i = 0; i < 4; ++i) {
     DbEntry e;
     e.kind = i % 2 == 0 ? defects::DefectKind::Bridge
@@ -29,9 +30,10 @@ DetectabilityDb synthetic_db() {
     e.vdd = 1.8;
     e.period = 25e-9;
     e.detected = i % 2 == 0;
-    db.add(e);
+    entries.push_back(e);
   }
-  return db;
+  return DetectabilityDb(std::move(entries), std::move(quarantine),
+                         std::move(fingerprint));
 }
 
 TEST(DetectabilityFingerprint, SpecFingerprintIsDeterministic) {
@@ -91,8 +93,7 @@ TEST(DetectabilityFingerprint, SpecFingerprintSeesEveryGridAxis) {
 }
 
 TEST(DetectabilityFingerprint, CsvRoundTripPreservesFingerprint) {
-  DetectabilityDb db = synthetic_db();
-  db.set_fingerprint("deadbeef");
+  const DetectabilityDb db = synthetic_db("deadbeef");
   const std::string csv = db.to_csv();
   EXPECT_EQ(csv.rfind("#fingerprint=deadbeef\n", 0), 0u)
       << "fingerprint must be the first line of the CSV";
@@ -115,9 +116,7 @@ TEST(DetectabilityFingerprint, EmptyFingerprintKeepsLegacyFormat) {
 }
 
 TEST(DetectabilityFingerprint, MismatchRejectedWithRowNumberedError) {
-  DetectabilityDb db = synthetic_db();
-  db.set_fingerprint("deadbeef");
-  const std::string csv = db.to_csv();
+  const std::string csv = synthetic_db("deadbeef").to_csv();
   try {
     DetectabilityDb::from_csv(csv, "0badf00d");
     FAIL() << "expected a fingerprint-mismatch rejection";
@@ -148,8 +147,7 @@ TEST(DetectabilityFingerprint, MissingFingerprintRejectedWhenExpected) {
 }
 
 TEST(DetectabilityFingerprint, CopiesAndMovesCarryTheFingerprint) {
-  DetectabilityDb db = synthetic_db();
-  db.set_fingerprint("cafef00d");
+  const DetectabilityDb db = synthetic_db("cafef00d");
 
   const DetectabilityDb copied(db);
   EXPECT_EQ(copied.fingerprint(), "cafef00d");
@@ -167,8 +165,9 @@ TEST(DetectabilityFingerprint, CopiesAndMovesCarryTheFingerprint) {
 
   QuarantineEntry q;
   q.defect_tag = "q";
-  db.add_quarantine(q);
-  EXPECT_EQ(db.with_quarantine_assumed(true).fingerprint(), "cafef00d");
+  EXPECT_EQ(synthetic_db("cafef00d", {q}).with_quarantine_assumed(true)
+                .fingerprint(),
+            "cafef00d");
 }
 
 // ---------------------------------------------------------------------------
@@ -187,7 +186,6 @@ core::PipelineConfig tiny_config(const std::string& cache_path) {
   config.characterization.open_resistances = {1e6};
   config.characterization.gox_vbds = {1.7};
   config.db_cache_path = cache_path;
-  config.metrics = 1;
   return config;
 }
 
@@ -199,6 +197,7 @@ TEST(DetectabilityFingerprint, StaleCacheIsRejectedAndRecharacterized) {
   const std::string cache =
       ::testing::TempDir() + "/memstress_stale_cache.csv";
   std::remove(cache.c_str());
+  memstress::metrics::set_enabled(true);
 
   // Ground truth: a fresh characterization (which also writes the cache).
   std::string fresh_csv;
@@ -211,11 +210,7 @@ TEST(DetectabilityFingerprint, StaleCacheIsRejectedAndRecharacterized) {
 
   // Poison the cache: a foreign database whose entries would visibly skew
   // every answer (all escapes), stamped with a wrong fingerprint.
-  {
-    DetectabilityDb foreign = synthetic_db();
-    foreign.set_fingerprint("00000000");
-    foreign.save(cache);
-  }
+  synthetic_db("00000000").save(cache);
   memstress::metrics::reset();
   {
     core::StressEvaluationPipeline pipeline(tiny_config(cache));
@@ -244,6 +239,7 @@ TEST(DetectabilityFingerprint, LegacyCacheWithoutFingerprintIsRejected) {
   const std::string cache =
       ::testing::TempDir() + "/memstress_legacy_cache.csv";
   std::remove(cache.c_str());
+  memstress::metrics::set_enabled(true);
 
   std::string fresh_csv;
   {

@@ -25,7 +25,7 @@ DetectabilityDb random_db(unsigned seed) {
   std::uniform_real_distribution<double> log_t(-9.0, -6.0);
   std::uniform_int_distribution<std::size_t> count(1, 60);
 
-  DetectabilityDb db;
+  std::vector<DbEntry> entries;
   const std::size_t n = count(rng);
   for (std::size_t i = 0; i < n; ++i) {
     DbEntry e;
@@ -36,9 +36,9 @@ DetectabilityDb random_db(unsigned seed) {
     e.vdd = vdd(rng);
     e.period = std::pow(10.0, log_t(rng));
     e.detected = coin(rng) != 0;
-    db.add(e);
+    entries.push_back(e);
   }
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 /// Expects from_csv to throw an Error whose message names the database, so

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -43,7 +45,7 @@ bool reference_detected(const DetectabilityDb& db, DefectKind kind,
 DetectabilityDb random_db(Rng& rng, int entry_count) {
   const double vdds[] = {1.0, 1.65, 1.8, 1.95};
   const double periods[] = {100e-9, 25e-9, 15e-9};
-  DetectabilityDb db;
+  std::vector<DbEntry> entries;
   for (int i = 0; i < entry_count; ++i) {
     DbEntry e;
     e.kind = rng.chance(0.5) ? DefectKind::Bridge : DefectKind::Open;
@@ -53,9 +55,9 @@ DetectabilityDb random_db(Rng& rng, int entry_count) {
     e.vdd = vdds[rng.below(4)];
     e.period = periods[rng.below(3)];
     e.detected = rng.chance(0.5);
-    db.add(e);
+    entries.push_back(e);
   }
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 TEST(DetectabilityIndex, RandomizedQueriesMatchLinearReference) {
@@ -95,7 +97,6 @@ TEST(DetectabilityIndex, RandomizedQueriesMatchLinearReference) {
 TEST(DetectabilityIndex, DuplicateCostEntriesKeepFirstEntryTieBreak) {
   // Two entries at the same grid point with contradictory verdicts: the
   // linear scan keeps the first, so the index must too.
-  DetectabilityDb db;
   DbEntry e;
   e.kind = DefectKind::Bridge;
   e.category = 1;
@@ -103,9 +104,9 @@ TEST(DetectabilityIndex, DuplicateCostEntriesKeepFirstEntryTieBreak) {
   e.vdd = 1.8;
   e.period = 25e-9;
   e.detected = true;
-  db.add(e);
-  e.detected = false;
-  db.add(e);
+  DbEntry contradiction = e;
+  contradiction.detected = false;
+  const DetectabilityDb db({e, contradiction});
   EXPECT_TRUE(db.detected(DefectKind::Bridge, 1, 1e4, 1.8, 25e-9));
   EXPECT_EQ(db.detected(DefectKind::Bridge, 1, 1e4, 1.8, 25e-9),
             reference_detected(db, DefectKind::Bridge, 1, 1e4, 1.8, 25e-9));
@@ -118,7 +119,7 @@ TEST(DetectabilityIndex, EquidistantGroupsKeepLowestEntryTieBreak) {
   // must win even though the group holding entry 2 comes first: visiting
   // groups nearest-first must still scan a group whose condition cost
   // equals the best cost seen.
-  DetectabilityDb db;
+  std::vector<DbEntry> entries;
   DbEntry e;
   e.kind = DefectKind::Bridge;
   e.category = 0;
@@ -126,49 +127,25 @@ TEST(DetectabilityIndex, EquidistantGroupsKeepLowestEntryTieBreak) {
   e.vdd = 2.5;
   e.resistance = 1e6;
   e.detected = false;
-  db.add(e);  // entry 0: creates the 2.5 V group
+  entries.push_back(e);  // entry 0: creates the 2.5 V group
   e.vdd = 1.5;
   e.resistance = 1e4;
   e.detected = true;
-  db.add(e);  // entry 1
+  entries.push_back(e);  // entry 1
   e.vdd = 2.5;
   e.detected = false;
-  db.add(e);  // entry 2
+  entries.push_back(e);  // entry 2
+  const DetectabilityDb db(std::move(entries));
   EXPECT_TRUE(db.detected(DefectKind::Bridge, 0, 1e4, 2.0, 25e-9));
   EXPECT_EQ(db.detected(DefectKind::Bridge, 0, 1e4, 2.0, 25e-9),
             reference_detected(db, DefectKind::Bridge, 0, 1e4, 2.0, 25e-9));
 }
 
-TEST(DetectabilityIndex, AddInvalidatesTheIndex) {
-  DetectabilityDb db;
-  DbEntry e;
-  e.kind = DefectKind::Open;
-  e.category = 2;
-  e.resistance = 1e6;
-  e.vdd = 1.8;
-  e.period = 25e-9;
-  e.detected = false;
-  db.add(e);
-  // First query builds the index.
-  EXPECT_FALSE(db.detected(DefectKind::Open, 2, 1e5, 1.8, 25e-9));
-
-  // A strictly closer entry added afterwards must win the same query.
-  e.resistance = 1e5;
-  e.detected = true;
-  db.add(e);
-  EXPECT_TRUE(db.detected(DefectKind::Open, 2, 1e5, 1.8, 25e-9));
-
-  // A brand-new defect class also becomes visible.
-  e.kind = DefectKind::Bridge;
-  e.category = 4;
-  db.add(e);
-  EXPECT_TRUE(db.detected(DefectKind::Bridge, 4, 1e5, 1.8, 25e-9));
-}
-
 TEST(DetectabilityIndex, CopiesAndMovesRebuildCleanly) {
   Rng rng(7);
   DetectabilityDb original = random_db(rng, 100);
-  // Build the original's index, then copy / move and re-query everything.
+  // Query the original, then copy / move and re-query everything: the index
+  // travels with each copy and move.
   (void)original.detected(original.entries()[0].kind,
                           original.entries()[0].category, 1e4, 1.8, 25e-9);
   const DetectabilityDb copy = original;
@@ -186,6 +163,48 @@ TEST(DetectabilityIndex, CopiesAndMovesRebuildCleanly) {
                            1e4, 1.8, 25e-9),
             copy.detected(copy.entries()[0].kind, copy.entries()[0].category,
                           1e4, 1.8, 25e-9));
+}
+
+TEST(DetectabilityIndex, FreshSharedDbAnswersManyThreads) {
+  // Eight threads race their first lookups on one const database that has
+  // never been queried: every answer must match the linear reference.
+  Rng rng(23);
+  const DetectabilityDb db = random_db(rng, 400);
+  struct Query {
+    DefectKind kind;
+    int category;
+    double resistance, vdd, period, vbd;
+  };
+  std::vector<Query> queries;
+  for (int q = 0; q < 400; ++q) {
+    const DbEntry& probe = db.entries()[rng.below(db.size())];
+    queries.push_back({probe.kind, probe.category,
+                       rng.log_uniform(10.0, 1e8), rng.uniform(0.9, 2.0),
+                       rng.log_uniform(10e-9, 200e-9), probe.vbd});
+  }
+  std::vector<bool> expected;
+  for (const Query& q : queries)
+    expected.push_back(reference_detected(db, q.kind, q.category, q.resistance,
+                                          q.vdd, q.period, q.vbd));
+
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different query and wraps around.
+      for (std::size_t k = 0; k < queries.size(); ++k) {
+        const std::size_t i = (k + 50 * t) % queries.size();
+        const Query& q = queries[i];
+        if (db.detected(q.kind, q.category, q.resistance, q.vdd, q.period,
+                        q.vbd) != expected[i])
+          ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 TEST(DetectabilityIndex, ConditionsSortedAndDeduplicated) {

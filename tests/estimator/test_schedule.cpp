@@ -19,8 +19,8 @@ using layout::OpenCategory;
 /// Synthetic detectability: VLV catches all bridges, Vmax all opens,
 /// nothing else catches anything.
 DetectabilityDb split_db() {
-  DetectabilityDb db;
-  auto add = [&db](DefectKind kind, int category, auto&& detector) {
+  std::vector<DbEntry> entries;
+  auto add = [&entries](DefectKind kind, int category, auto&& detector) {
     for (const double vdd : {1.0, 1.65, 1.8, 1.95})
       for (const double period : {100e-9, 25e-9, 15e-9}) {
         DbEntry e;
@@ -30,14 +30,14 @@ DetectabilityDb split_db() {
         e.vdd = vdd;
         e.period = period;
         e.detected = detector(vdd, period);
-        db.add(e);
+        entries.push_back(e);
       }
   };
   for (int cat = 0; cat <= static_cast<int>(BridgeCategory::Other); ++cat)
     add(DefectKind::Bridge, cat, [](double vdd, double) { return vdd < 1.2; });
   for (int cat = 0; cat <= static_cast<int>(OpenCategory::Other); ++cat)
     add(DefectKind::Open, cat, [](double vdd, double) { return vdd > 1.9; });
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 defects::DefectSampler make_sampler(double bridge_fraction) {
@@ -111,7 +111,7 @@ TEST(OptimizeSchedule, PicksTheCheapestMeetingSchedule) {
 
 TEST(OptimizeSchedule, FallsBackToBestWhenTargetUnreachable) {
   // A DB in which nothing is ever detected.
-  DetectabilityDb db;
+  std::vector<DbEntry> entries;
   for (int cat = 0; cat <= static_cast<int>(BridgeCategory::Other); ++cat)
     for (const double vdd : {1.0, 1.65, 1.8, 1.95})
       for (const double period : {100e-9, 25e-9, 15e-9}) {
@@ -122,7 +122,7 @@ TEST(OptimizeSchedule, FallsBackToBestWhenTargetUnreachable) {
         e.vdd = vdd;
         e.period = period;
         e.detected = false;
-        db.add(e);
+        entries.push_back(e);
       }
   for (int cat = 0; cat <= static_cast<int>(OpenCategory::Other); ++cat)
     for (const double vdd : {1.0, 1.65, 1.8, 1.95})
@@ -134,8 +134,9 @@ TEST(OptimizeSchedule, FallsBackToBestWhenTargetUnreachable) {
         e.vdd = vdd;
         e.period = period;
         e.detected = false;
-        db.add(e);
+        entries.push_back(e);
       }
+  const DetectabilityDb db(std::move(entries));
   const auto sampler = make_sampler(0.7);
   ScheduleSpec spec;
   spec.monte_carlo_defects = 200;
@@ -276,7 +277,7 @@ std::vector<Schedule> reference_schedule_tradeoff(
 /// voltage) and random verdicts.
 DetectabilityDb random_schedule_db(std::uint64_t seed) {
   Rng rng(seed);
-  DetectabilityDb db;
+  std::vector<DbEntry> entries;
   const auto add = [&](DefectKind kind, int category) {
     for (const double vdd : {1.0, 1.65, 1.8, 1.95})
       for (const double period : {100e-9, 25e-9, 15e-9})
@@ -289,14 +290,14 @@ DetectabilityDb random_schedule_db(std::uint64_t seed) {
           e.vdd = vdd;
           e.period = period;
           e.detected = rng.chance(0.4);
-          db.add(e);
+          entries.push_back(e);
         }
   };
   for (int cat = 0; cat <= static_cast<int>(BridgeCategory::Other); ++cat)
     add(DefectKind::Bridge, cat);
   for (int cat = 0; cat <= static_cast<int>(OpenCategory::Other); ++cat)
     add(DefectKind::Open, cat);
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 /// Six candidates: four standard legs, an off-grid leg, and a duplicate of

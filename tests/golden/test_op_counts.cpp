@@ -74,7 +74,7 @@ estimator::CharacterizeSpec tiny_spec(analog::SolverMode mode, int threads) {
 /// (some with a breakdown voltage) and random verdicts per condition.
 estimator::DetectabilityDb yield_db() {
   Rng rng(2005);
-  estimator::DetectabilityDb db;
+  std::vector<estimator::DbEntry> entries;
   const auto add = [&](defects::DefectKind kind, int category) {
     for (const double vdd : {1.0, 1.65, 1.8, 1.95})
       for (const double period : {100e-9, 25e-9, 15e-9})
@@ -87,7 +87,7 @@ estimator::DetectabilityDb yield_db() {
           e.vdd = vdd;
           e.period = period;
           e.detected = rng.chance(0.4);
-          db.add(e);
+          entries.push_back(e);
         }
   };
   for (int cat = 0; cat <= static_cast<int>(layout::BridgeCategory::Other);
@@ -96,7 +96,7 @@ estimator::DetectabilityDb yield_db() {
   for (int cat = 0; cat <= static_cast<int>(layout::OpenCategory::Other);
        ++cat)
     add(defects::DefectKind::Open, cat);
-  return db;
+  return estimator::DetectabilityDb(std::move(entries));
 }
 
 /// A 2,000-device study (about 0.46 defects per device) plus the standard

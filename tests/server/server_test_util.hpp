@@ -29,9 +29,9 @@ namespace memstress::server {
 /// so any handler (including the schedule optimizer's Monte-Carlo sampler)
 /// finds an entry for whatever defect it draws.
 inline estimator::DetectabilityDb synthetic_server_db() {
-  estimator::DetectabilityDb db;
-  const auto add = [&db](defects::DefectKind kind, int category, double r,
-                         double vdd, double period, bool detected) {
+  std::vector<estimator::DbEntry> entries;
+  const auto add = [&entries](defects::DefectKind kind, int category, double r,
+                              double vdd, double period, bool detected) {
     estimator::DbEntry e;
     e.kind = kind;
     e.category = category;
@@ -39,7 +39,7 @@ inline estimator::DetectabilityDb synthetic_server_db() {
     e.vdd = vdd;
     e.period = period;
     e.detected = detected;
-    db.add(e);
+    entries.push_back(e);
   };
   for (int cat = 0; cat <= static_cast<int>(layout::BridgeCategory::Other);
        ++cat)
@@ -54,7 +54,7 @@ inline estimator::DetectabilityDb synthetic_server_db() {
       for (const double vdd : {1.0, 1.65, 1.8, 1.95})
         for (const double period : {100e-9, 25e-9, 15e-9})
           add(defects::DefectKind::Open, cat, r, vdd, period, vdd > 1.9);
-  return db;
+  return estimator::DetectabilityDb(std::move(entries));
 }
 
 inline std::shared_ptr<const MemstressService> make_test_service(

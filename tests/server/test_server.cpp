@@ -131,6 +131,52 @@ TEST(ServerLoopback, BadParamsGetStructuredBadRequest) {
   EXPECT_THROW(client.request("no_such_type"), ServerError);
 }
 
+TEST(ServerLoopback, HugeGeometryIsABadRequestAndTheConnectionLives) {
+  // 2^31 - 1 rows fit an int but the memory's cell count does not; 2^32 + 4
+  // rows do not fit an int at all (they once wrapped to a 4-row memory).
+  // Neither may reach the estimator, whose row-address loop once spun
+  // forever past 2^30 rows and held a worker for good.
+  TestServer fixture;
+  Client client(fixture.client_config());
+  for (const std::string rows : {"2147483647", "4294967300"}) {
+    try {
+      client.request("coverage",
+                     Json::parse("{\"geometry\":{\"x_rows\":" + rows + "}}"));
+      FAIL() << "x_rows " << rows << " was answered";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.code(), "bad_request") << rows;
+      EXPECT_NE(std::string(e.what()).find("x_rows"), std::string::npos)
+          << e.what();
+    }
+    // The connection then serves the next request.
+    EXPECT_EQ(client.request("health").at("status").as_string(), "ok");
+  }
+}
+
+TEST(ServerLoopback, NumericCategoryMustBeAnInt) {
+  TestServer fixture;
+  Client client(fixture.client_config());
+  for (const std::string category : {"1.5", "4294967296"}) {
+    try {
+      client.request("detectability",
+                     Json::parse("{\"kind\":\"bridge\",\"category\":" +
+                                 category +
+                                 ",\"resistance\":1e3,\"vdd\":1.8,"
+                                 "\"period\":2.5e-8}"));
+      FAIL() << "category " << category << " was answered";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.code(), "bad_request") << category;
+      EXPECT_NE(std::string(e.what()).find("category"), std::string::npos)
+          << e.what();
+    }
+  }
+  // An integral category still answers.
+  EXPECT_NO_THROW(client.request(
+      "detectability",
+      Json::parse("{\"kind\":\"bridge\",\"category\":1,"
+                  "\"resistance\":1e3,\"vdd\":1.8,\"period\":2.5e-8}")));
+}
+
 TEST(ServerLoopback, OversizedFrameAnswersThenCloses) {
   ServerConfig config;
   config.max_frame_bytes = 256;

@@ -22,9 +22,9 @@ using layout::OpenCategory;
 ///   CellNodeVdd bridges    -> detected nowhere (escapes)
 ///   CellNodeGnd bridges    -> detected everywhere (standard fails)
 DetectabilityDb rule_db() {
-  DetectabilityDb db;
-  auto add_rule = [&db](DefectKind kind, int category,
-                        auto&& detected_fn) {
+  std::vector<DbEntry> entries;
+  auto add_rule = [&entries](DefectKind kind, int category,
+                             auto&& detected_fn) {
     for (const double vdd : {1.0, 1.65, 1.8, 1.95}) {
       for (const double period : {100e-9, 25e-9, 15e-9}) {
         DbEntry e;
@@ -34,7 +34,7 @@ DetectabilityDb rule_db() {
         e.vdd = vdd;
         e.period = period;
         e.detected = detected_fn(vdd, period);
-        db.add(e);
+        entries.push_back(e);
       }
     }
   };
@@ -48,7 +48,7 @@ DetectabilityDb rule_db() {
            [](double, double) { return false; });
   add_rule(DefectKind::Bridge, static_cast<int>(BridgeCategory::CellNodeGnd),
            [](double, double) { return true; });
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 Defect bridge_of(BridgeCategory category) {
@@ -154,7 +154,7 @@ class StudyRunTest : public ::testing::Test {
 TEST_F(StudyRunTest, DeterministicForSameSeed) {
   // A permissive DB (everything detected everywhere) covers every category
   // the sampler can produce.
-  DetectabilityDb db;
+  std::vector<DbEntry> entries;
   for (int cat = 0; cat <= static_cast<int>(BridgeCategory::Other); ++cat)
     for (const double vdd : {1.0, 1.65, 1.8, 1.95})
       for (const double period : {100e-9, 25e-9, 15e-9}) {
@@ -165,7 +165,7 @@ TEST_F(StudyRunTest, DeterministicForSameSeed) {
         e.vdd = vdd;
         e.period = period;
         e.detected = true;
-        db.add(e);
+        entries.push_back(e);
       }
   for (int cat = 0; cat <= static_cast<int>(OpenCategory::Other); ++cat)
     for (const double vdd : {1.0, 1.65, 1.8, 1.95})
@@ -177,8 +177,9 @@ TEST_F(StudyRunTest, DeterministicForSameSeed) {
         e.vdd = vdd;
         e.period = period;
         e.detected = true;
-        db.add(e);
+        entries.push_back(e);
       }
+  const DetectabilityDb db(std::move(entries));
 
   StudyConfig config;
   config.device_count = 500;

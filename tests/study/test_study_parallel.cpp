@@ -20,9 +20,9 @@ using layout::OpenCategory;
 /// standard fails, stress-only fails and escapes so every StudyResult
 /// counter is exercised.
 DetectabilityDb mixed_db() {
-  DetectabilityDb db;
-  const auto add_rule = [&db](DefectKind kind, int category,
-                              auto&& detected_fn) {
+  std::vector<DbEntry> entries;
+  const auto add_rule = [&entries](DefectKind kind, int category,
+                                   auto&& detected_fn) {
     for (const double vdd : {1.0, 1.65, 1.8, 1.95}) {
       for (const double period : {100e-9, 25e-9, 15e-9}) {
         DbEntry e;
@@ -32,7 +32,7 @@ DetectabilityDb mixed_db() {
         e.vdd = vdd;
         e.period = period;
         e.detected = detected_fn(vdd, period);
-        db.add(e);
+        entries.push_back(e);
       }
     }
   };
@@ -60,7 +60,7 @@ DetectabilityDb mixed_db() {
       add_rule(DefectKind::Open, cat,
                [](double, double period) { return period < 20e-9; });
   }
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 defects::DefectSampler make_sampler() {

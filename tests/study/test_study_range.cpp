@@ -34,9 +34,9 @@ defects::DefectSampler make_sampler() {
 /// Every category at every stress corner, detectability split so all the
 /// interesting outcome classes (standard fail, VLV-only, escapes) occur.
 DetectabilityDb mixed_db() {
-  DetectabilityDb db;
-  const auto add = [&db](defects::DefectKind kind, int category, bool detected,
-                         double vdd, double period) {
+  std::vector<DbEntry> entries;
+  const auto add = [&entries](defects::DefectKind kind, int category,
+                              bool detected, double vdd, double period) {
     DbEntry e;
     e.kind = kind;
     e.category = category;
@@ -44,7 +44,7 @@ DetectabilityDb mixed_db() {
     e.vdd = vdd;
     e.period = period;
     e.detected = detected;
-    db.add(e);
+    entries.push_back(e);
   };
   for (int cat = 0; cat <= static_cast<int>(BridgeCategory::Other); ++cat)
     for (const double vdd : {1.0, 1.65, 1.8, 1.95})
@@ -56,7 +56,7 @@ DetectabilityDb mixed_db() {
       for (const double period : {100e-9, 25e-9, 15e-9})
         add(defects::DefectKind::Open, cat, vdd > 1.9 && cat % 2 == 0, vdd,
             period);
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 StudyConfig small_config() {

@@ -33,9 +33,9 @@ using layout::OpenCategory;
 /// Rule DB covering every samplable category (same shape as the study
 /// parallel-determinism fixture).
 DetectabilityDb mixed_db() {
-  DetectabilityDb db;
-  const auto add_rule = [&db](DefectKind kind, int category,
-                              auto&& detected_fn) {
+  std::vector<DbEntry> entries;
+  const auto add_rule = [&entries](DefectKind kind, int category,
+                                   auto&& detected_fn) {
     for (const double vdd : {1.0, 1.65, 1.8, 1.95}) {
       for (const double period : {100e-9, 25e-9, 15e-9}) {
         DbEntry e;
@@ -45,7 +45,7 @@ DetectabilityDb mixed_db() {
         e.vdd = vdd;
         e.period = period;
         e.detected = detected_fn(vdd, period);
-        db.add(e);
+        entries.push_back(e);
       }
     }
   };
@@ -71,7 +71,7 @@ DetectabilityDb mixed_db() {
       add_rule(DefectKind::Open, cat,
                [](double, double period) { return period < 20e-9; });
   }
-  return db;
+  return DetectabilityDb(std::move(entries));
 }
 
 defects::DefectSampler make_sampler() {

@@ -123,9 +123,9 @@ estimator::CharacterizeSpec grid_spec() {
 /// Rule DB covering every samplable category (the study resume fixture).
 estimator::DetectabilityDb mixed_db() {
   using defects::DefectKind;
-  estimator::DetectabilityDb db;
-  const auto add_rule = [&db](DefectKind kind, int category,
-                              auto&& detected_fn) {
+  std::vector<estimator::DbEntry> entries;
+  const auto add_rule = [&entries](DefectKind kind, int category,
+                                   auto&& detected_fn) {
     for (const double vdd : {1.0, 1.65, 1.8, 1.95}) {
       for (const double period : {100e-9, 25e-9, 15e-9}) {
         estimator::DbEntry e;
@@ -135,7 +135,7 @@ estimator::DetectabilityDb mixed_db() {
         e.vdd = vdd;
         e.period = period;
         e.detected = detected_fn(vdd, period);
-        db.add(e);
+        entries.push_back(e);
       }
     }
   };
@@ -157,7 +157,7 @@ estimator::DetectabilityDb mixed_db() {
       add_rule(DefectKind::Open, cat,
                [](double, double period) { return period < 20e-9; });
   }
-  return db;
+  return estimator::DetectabilityDb(std::move(entries));
 }
 
 defects::DefectSampler make_sampler() {
