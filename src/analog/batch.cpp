@@ -100,7 +100,6 @@ struct Runner {
   std::vector<std::size_t> slot_of; // slot the lane is clustered on (shared)
   std::vector<int> lane_iter;       // applied updates this piece (clamp sched)
   std::vector<Simulator::Stats> stats;
-  std::vector<SolverFailure> failure;
   std::vector<std::string> error;
 
   // --- shared linear algebra ------------------------------------------
@@ -176,7 +175,6 @@ struct Runner {
     slot_of.assign(lanes, 0);
     lane_iter.assign(lanes, 0);
     stats.resize(lanes);
-    failure.assign(lanes, SolverFailure::NewtonNonConvergence);
     error.resize(lanes);
     // One slot per lane either way. Shared mode clusters lanes onto a few
     // of them (slot_of) and bridges the swept-value difference with a rank-1
@@ -667,8 +665,7 @@ std::vector<LaneResult> BatchSimulator::run(
         r.last_dv[l] = std::numeric_limits<double>::infinity();
       } catch (const SolverError& e) {
         r.dead[l] = 1;
-        r.failure[l] = e.failure();
-        r.error[l] = e.what();
+        r.error[l] = e.reason();
       }
     }
 
@@ -700,10 +697,7 @@ std::vector<LaneResult> BatchSimulator::run(
       out.stats.factorizations += fs.factorizations;
     }
     out.ok = !r.dead[l];
-    if (r.dead[l]) {
-      out.failure = r.failure[l];
-      out.error = r.error[l];
-    }
+    if (r.dead[l]) out.error = r.error[l];
     steps_c.add(out.stats.steps);
     newton_c.add(out.stats.newton_iterations);
     halvings_c.add(out.stats.halvings);

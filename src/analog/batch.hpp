@@ -72,15 +72,14 @@ struct SweptElement {
 };
 
 /// Per-lane outcome of a batched run. On failure (`ok == false`) the trace
-/// is partial and `failure` / `error` carry the same classification and
-/// message the scalar Simulator's SolverError would have.
+/// is partial and `error` is the SolverError::reason() the scalar
+/// Simulator would have thrown.
 struct LaneResult {
   bool ok = false;
   /// Recorded waveforms for an ok lane; a placeholder single-signal trace
   /// (Trace rejects zero signals) when ok == false.
   Trace trace{std::vector<std::string>{"(none)"}};
   Simulator::Stats stats;
-  SolverFailure failure = SolverFailure::NewtonNonConvergence;
   std::string error;
 };
 

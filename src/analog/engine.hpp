@@ -39,6 +39,11 @@ class SolverError : public Error {
   SolverError(SolverFailure failure, const std::string& what)
       : Error(what), failure_(failure) {}
   SolverFailure failure() const { return failure_; }
+  /// "<failure>: <what>" — the one rendering quarantine records and failed
+  /// lanes carry.
+  std::string reason() const {
+    return std::string(solver_failure_name(failure_)) + ": " + what();
+  }
 
  private:
   SolverFailure failure_;

@@ -9,6 +9,7 @@
 #include "defects/defect.hpp"
 #include "estimator/dpm.hpp"
 #include "layout/sram_layout.hpp"
+#include "util/bits.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -21,12 +22,7 @@ using defects::DefectKind;
 using layout::BridgeCategory;
 using layout::OpenCategory;
 
-int MemoryGeometry::address_bits() const {
-  // A 64-bit shift: x_rows <= INT_MAX < 2^31, so this stops at 31 bits.
-  int bits = 0;
-  while ((1LL << bits) < x_rows) ++bits;
-  return bits;
-}
+int MemoryGeometry::address_bits() const { return ceil_log2(x_rows); }
 
 double MemoryGeometry::conductor_area_um2(double area_per_cell_um2) const {
   return static_cast<double>(cells()) * area_per_cell_um2;
@@ -50,12 +46,10 @@ PopulationModel PopulationModel::calibrate(int ref_rows, int ref_cols) {
       case BridgeCategory::WordlineWordline:
         unit += site.weight / ((ref_rows / 2) * static_cast<double>(ref_cols));
         break;
-      case BridgeCategory::AddressAddress: {
-        int bits = 0;
-        while ((1 << bits) < ref_rows) ++bits;
-        unit += site.weight / (std::max(bits - 1, 1) * static_cast<double>(ref_rows));
+      case BridgeCategory::AddressAddress:
+        unit += site.weight / (std::max(ceil_log2(ref_rows) - 1, 1) *
+                               static_cast<double>(ref_rows));
         break;
-      }
       case BridgeCategory::AddressVdd:
         unit += site.weight / static_cast<double>(ref_rows);
         break;
@@ -70,12 +64,9 @@ PopulationModel PopulationModel::calibrate(int ref_rows, int ref_cols) {
       case OpenCategory::Wordline:
         unit += site.weight / static_cast<double>(ref_rows);
         break;
-      case OpenCategory::AddressInput: {
-        int bits = 0;
-        while ((1 << bits) < ref_rows) ++bits;
-        unit += site.weight / std::max(bits, 1);
+      case OpenCategory::AddressInput:
+        unit += site.weight / std::max(ceil_log2(ref_rows), 1);
         break;
-      }
       case OpenCategory::Bitline:
       case OpenCategory::SenseOut:
         unit += site.weight / static_cast<double>(ref_cols);

@@ -399,11 +399,11 @@ std::string grid_fingerprint(const CharacterizeSpec& spec,
 /// Execute the grid points of the record's range that are still pending —
 /// the sweep body behind characterize() (full grid) and
 /// characterize_range() (one distributed shard). Each verdict is committed
-/// into the record at its *global* index, and chaos sites key on that
-/// index too, so no shard layout can change an injected failure schedule.
-void sweep_tasks(const CharacterizeSpec& spec,
-                 const std::vector<GridPoint>& grid, JobRecord& record,
-                 const ProgressFn& progress) {
+/// into the record at its *global* index of the context's grid, and chaos
+/// sites key on that index too, so no shard layout can change an injected
+/// failure schedule.
+void sweep_tasks(const CharacterizeSpec& spec, tech::SweepContext& ctx,
+                 JobRecord& record, const ProgressFn& progress) {
   require(spec.max_attempts >= 1, "characterize: max_attempts must be >= 1");
   static metrics::Counter& retries = metrics::counter("robust.retries");
   static metrics::Counter& points =
@@ -411,22 +411,14 @@ void sweep_tasks(const CharacterizeSpec& spec,
   const std::size_t begin = record.begin();
   const std::size_t end = record.end();
   points.add(static_cast<long long>(end - begin));
-
-  // Attempt 1 of every pending point runs through its cell's
-  // SweepContext::simulate_batch, so the technology alone decides how a
-  // cell runs (sram6t: the lockstep kernel when batched, one scalar solve
-  // per lane when exact). Only the lanes that fail attempt 1 go on to the
-  // scalar rescue ladder (attempts >= 2). The verdicts, and so the CSV, are
-  // identical in both solver modes.
-  const std::unique_ptr<tech::SweepContext> ctx =
-      tech::model_for(spec.technology).make_context(spec, spec.solver);
+  const std::vector<GridPoint>& grid = ctx.grid();
 
   // Progress lines are serialized here, so the callee needs no lock.
   std::mutex progress_mutex;
   const auto report = [&](std::size_t i, const char* verdict) {
     if (!progress) return;
     std::lock_guard<std::mutex> lock(progress_mutex);
-    progress(grid[i].defect_tag + " @ " + fmt_fixed(grid[i].entry.vdd, 2) +
+    progress(grid[i].defect.tag() + " @ " + fmt_fixed(grid[i].entry.vdd, 2) +
              " V / " + fmt_time(grid[i].entry.period) + verdict);
   };
   const auto commit = [&](std::size_t i, bool detected) {
@@ -442,11 +434,10 @@ void sweep_tasks(const CharacterizeSpec& spec,
       retries.add(1);
       try {
         chaos::maybe_fail("characterize.point", i, attempt);
-        commit(i, ctx->simulate_point(i, attempt - 1));
+        commit(i, ctx.simulate_point(i, attempt - 1));
         return;
       } catch (const analog::SolverError& e) {
-        reason = std::string(analog::solver_failure_name(e.failure())) + ": " +
-                 e.what();
+        reason = e.reason();
       } catch (const chaos::ChaosError& e) {
         reason = e.what();
       }
@@ -473,6 +464,12 @@ void sweep_tasks(const CharacterizeSpec& spec,
     groups[it->second].push_back(i);
   }
 
+  // Attempt 1 of every pending point runs through its cell's
+  // SweepContext::simulate_batch, so the technology alone decides how a
+  // cell runs (sram6t: the lockstep kernel when batched, one scalar solve
+  // per lane when exact). Only the lanes that fail attempt 1 go on to the
+  // scalar rescue ladder (attempts >= 2). The verdicts, and so the CSV, are
+  // identical in both solver modes.
   const auto group_body = [&](std::size_t g) {
     // Attempt-1 chaos hook per pending lane (a resumed run already has
     // verdicts for the rest): a lane the chaos harness fails here skips the
@@ -491,7 +488,7 @@ void sweep_tasks(const CharacterizeSpec& spec,
     }
 
     if (!lanes.empty()) {
-      const std::vector<tech::LaneResult> runs = ctx->simulate_batch(lanes);
+      const std::vector<tech::LaneResult> runs = ctx.simulate_batch(lanes);
       for (std::size_t k = 0; k < lanes.size(); ++k) {
         if (runs[k].ok)
           commit(lanes[k], runs[k].detected);
@@ -511,15 +508,17 @@ void sweep_tasks(const CharacterizeSpec& spec,
 DetectabilityDb characterize(const CharacterizeSpec& spec,
                              const ProgressFn& progress) {
   trace::Span span("estimator.characterize");
-  const std::vector<GridPoint> tasks = characterize_grid(spec);
+  const std::unique_ptr<tech::SweepContext> ctx =
+      tech::model_for(spec.technology).make_context(spec, spec.solver);
+  const std::vector<GridPoint>& grid = ctx->grid();
   // Every grid point is an independent transient simulation; fan them out.
-  // Verdicts land in the record by task index, so completion order never
+  // Verdicts land in the record by grid index, so completion order never
   // matters.
-  JobRecord record(kCharacterizeJob, 0, tasks.size());
+  JobRecord record(kCharacterizeJob, 0, grid.size());
   record.attach_checkpoint(spec.checkpoint_path, spec.checkpoint_interval, 32,
-                           [&] { return grid_fingerprint(spec, tasks); });
-  record.run([&] { sweep_tasks(spec, tasks, record, progress); });
-  return assemble_db(spec, tasks, record);
+                           [&] { return grid_fingerprint(spec, grid); });
+  record.run([&] { sweep_tasks(spec, *ctx, record, progress); });
+  return assemble_db(spec, grid, record);
 }
 
 DetectabilityDb assemble_db(const CharacterizeSpec& spec,
@@ -540,7 +539,7 @@ DetectabilityDb assemble_db(const CharacterizeSpec& spec,
       continue;
     }
     const DbEntry& e = grid[i].entry;
-    QuarantineEntry q{grid[i].defect_tag, e.kind, e.category, e.resistance,
+    QuarantineEntry q{grid[i].defect.tag(), e.kind, e.category, e.resistance,
                       e.vbd, e.vdd, e.period, failure->reason,
                       failure->attempts};
     quarantined.add(1);
@@ -560,13 +559,15 @@ std::vector<PointVerdict> characterize_range(const CharacterizeSpec& spec,
                                              std::size_t begin, std::size_t end,
                                              const ProgressFn& progress) {
   trace::Span span("estimator.characterize_range");
-  const std::vector<GridPoint> tasks = characterize_grid(spec);
-  require(begin <= end && end <= tasks.size(),
+  const std::unique_ptr<tech::SweepContext> ctx =
+      tech::model_for(spec.technology).make_context(spec, spec.solver);
+  const std::size_t points = ctx->grid().size();
+  require(begin <= end && end <= points,
           "characterize_range: shard [" + std::to_string(begin) + ", " +
               std::to_string(end) + ") out of bounds for a grid of " +
-              std::to_string(tasks.size()) + " points");
+              std::to_string(points) + " points");
   JobRecord record(kCharacterizeJob, begin, end);
-  sweep_tasks(spec, tasks, record, progress);
+  sweep_tasks(spec, *ctx, record, progress);
   std::vector<PointVerdict> verdicts;
   for (std::size_t i = begin; i < end; ++i) {
     const std::optional<Quarantine> failure = record.quarantine(i);

@@ -255,13 +255,18 @@ DetectabilityDb characterize(const CharacterizeSpec& spec,
 /// characterize() commits database entries (entry.detected is left false —
 /// the grid is a cheap enumeration, no simulation runs). Distributed runs
 /// shard this order and merge shard verdicts back positionally, which is
-/// what makes the merged CSV byte-identical to a single-node sweep.
+/// what makes the merged CSV byte-identical to a single-node sweep. The
+/// defect's tag() is formatted only for a progress line or a quarantine
+/// record.
 struct GridPoint {
-  std::string defect_tag;  ///< Defect::tag() of the injected defect
+  defects::Defect defect;  ///< the injected defect
   DbEntry entry;
 };
 
-/// Enumerate the canonical grid for a spec without simulating anything.
+/// Enumerate the canonical grid for a spec without simulating anything: the
+/// technology model's build_grid(spec), the grid its sweep context owns.
+/// characterize() and characterize_range() read the context's copy; this
+/// one serves callers that only shard or count the grid.
 std::vector<GridPoint> characterize_grid(const CharacterizeSpec& spec);
 
 /// Verdict for one grid point, as produced by characterize_range().

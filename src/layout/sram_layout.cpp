@@ -1,6 +1,7 @@
 #include "layout/sram_layout.hpp"
 
 #include "layout/netnames.hpp"
+#include "util/bits.hpp"
 #include "util/error.hpp"
 
 namespace memstress::layout {
@@ -91,8 +92,7 @@ LayoutModel generate_sram_layout(int rows, int cols, const FloorplanRules& r) {
   // line per address bit, pitch 0.4 um, with the decoder-input via as the
   // registered open site. A vdd service strap runs alongside — this is the
   // adjacency that supplies the parasitic leak companion of decoder opens.
-  int address_bits = 0;
-  while ((1 << address_bits) < rows) ++address_bits;
+  const int address_bits = ceil_log2(rows);
   for (int bit = 0; bit < address_bits; ++bit) {
     const double x = -0.6 - 0.4 * bit;
     add(Layer::Metal2, x, 0.0, x + r.line_width, height, net_addr_in(bit));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 
@@ -44,12 +45,6 @@ std::string FailLog::summary(const MarchTest& test) const {
 
 namespace {
 
-int bits_for(long total) {
-  int bits = 0;
-  while ((1L << bits) < total) ++bits;
-  return bits;
-}
-
 long rotate_index(long index, int rotate, int bits) {
   if (rotate == 0 || bits == 0) return index;
   const int r = rotate % bits;
@@ -62,7 +57,7 @@ template <typename Fn>
 void for_each_address(int rows, int cols, AddressOrder order, AddressMap map,
                       int rotate_bits, Fn&& fn) {
   const long total = static_cast<long>(rows) * cols;
-  const int bits = bits_for(total);
+  const int bits = ceil_log2(total);
   require(rotate_bits == 0 || (1L << bits) == total,
           "run_march: address rotation requires a power-of-two cell count");
   for (long i = 0; i < total; ++i) {
@@ -176,7 +171,7 @@ FailLog run_retention(sram::BehavioralSram& memory, double pause_s,
 MoviResult run_movi(sram::BehavioralSram& memory, const MarchTest& base,
                     const RunOptions& options) {
   const long total = memory.size();
-  const int bits = bits_for(total);
+  const int bits = ceil_log2(total);
   require((1L << bits) == total,
           "run_movi: requires a power-of-two cell count");
   MoviResult result;

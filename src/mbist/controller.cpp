@@ -1,18 +1,9 @@
 #include "mbist/controller.hpp"
 
+#include "util/bits.hpp"
 #include "util/error.hpp"
 
 namespace memstress::mbist {
-
-namespace {
-
-int bits_for(long total) {
-  int bits = 0;
-  while ((1L << bits) < total) ++bits;
-  return bits;
-}
-
-}  // namespace
 
 Controller::Controller(Program program, MemoryPort& port, ControllerConfig config)
     : program_(std::move(program)), port_(port), config_(config) {
@@ -32,7 +23,7 @@ std::pair<int, int> Controller::current_address() const {
                     ? total - 1 - address_index_
                     : address_index_;
   if (rotation_ != 0) {
-    const int bits = bits_for(total);
+    const int bits = ceil_log2(total);
     require((1L << bits) == total,
             "Controller: rotation requires a power-of-two cell count");
     const int r = rotation_ % bits;

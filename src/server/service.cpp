@@ -167,12 +167,11 @@ Json MemstressService::schedule(const Json& params) const {
   const long long cells = params.int_or("cells", 256 * 1024);
   spec.yield = params.number_or("yield", spec.yield);
   spec.target_dpm = params.number_or("target_dpm", spec.target_dpm);
-  spec.monte_carlo_defects = static_cast<int>(
-      params.int_or("monte_carlo_defects", spec.monte_carlo_defects));
+  spec.monte_carlo_defects = static_cast<int>(int_field(
+      params, "monte_carlo_defects", 1, 1000000, spec.monte_carlo_defects));
   spec.seed = static_cast<std::uint64_t>(
       params.int_or("seed", static_cast<long long>(spec.seed)));
-  if (cells <= 0 || spec.yield <= 0.0 || spec.yield > 1.0 ||
-      spec.monte_carlo_defects <= 0 || spec.monte_carlo_defects > 1000000)
+  if (cells <= 0 || spec.yield <= 0.0 || spec.yield > 1.0)
     throw ProtocolError("schedule spec out of range");
   const estimator::Schedule best = estimator::optimize_schedule(
       estimator::standard_legs(), *db_, sampler_, spec);

@@ -1,6 +1,7 @@
 #include "sram/block.hpp"
 
 #include "layout/netnames.hpp"
+#include "util/bits.hpp"
 #include "util/error.hpp"
 
 namespace memstress::sram {
@@ -14,11 +15,7 @@ using analog::pmos_018;
 using analog::PwlWaveform;
 namespace nn = memstress::layout;
 
-int BlockSpec::address_bits() const {
-  int bits = 0;
-  while ((1 << bits) < rows) ++bits;
-  return bits;
-}
+int BlockSpec::address_bits() const { return ceil_log2(rows); }
 
 std::string BlockSources::addr(int bit) { return "A" + std::to_string(bit); }
 std::string BlockSources::csel(int col) { return "CSEL" + std::to_string(col); }

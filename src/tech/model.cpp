@@ -17,9 +17,7 @@ std::vector<LaneResult> SweepContext::simulate_batch(
       results[k].detected = simulate_point(lanes[k], 0);
       results[k].ok = true;
     } catch (const analog::SolverError& e) {
-      results[k].error =
-          std::string(analog::solver_failure_name(e.failure())) + ": " +
-          e.what();
+      results[k].error = e.reason();
     }
   }
   return results;

@@ -12,15 +12,18 @@
 //   Undervolt  closed-form SRAM noise-margin/bit-error-rate collapse model
 //              over the *same* defect grid as Sram6T.
 //
-// Adding a backend means implementing TechnologyModel + SweepContext (its
-// simulate_point; simulate_batch only for a lockstep kernel) and registering
-// it in model_for() — the estimator, study layer, server and coordinator
-// pick it up unchanged (see TUTORIAL §12).
+// Adding a backend means implementing TechnologyModel (build_grid, and a
+// make_context that hands build_grid(spec) to its SweepContext), the
+// context's simulate_point over grid()[i] (simulate_batch only for a
+// lockstep kernel), and registering it in model_for() — the estimator,
+// study layer, server and coordinator pick it up unchanged (see TUTORIAL
+// §12).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analog/batch.hpp"
@@ -30,7 +33,7 @@
 namespace memstress::tech {
 
 /// Outcome of one lane of a cell's simulate_batch(). `error` is the
-/// pre-formatted failure message ("<failure>: <what>") when !ok.
+/// failure's SolverError::reason() when !ok.
 struct LaneResult {
   bool ok = false;
   bool detected = false;
@@ -38,11 +41,18 @@ struct LaneResult {
 };
 
 /// Per-sweep simulation state (e.g. the golden netlist for the analog
-/// backend). One context serves one characterize()/characterize_range()
-/// call; its methods must be safe to call from many threads at once.
+/// backend) and the grid it simulates. One context serves one
+/// characterize()/characterize_range() call, which commits by grid(); its
+/// methods must be safe to call from many threads at once.
 class SweepContext {
  public:
+  explicit SweepContext(std::vector<estimator::GridPoint> grid)
+      : grid_(std::move(grid)) {}
   virtual ~SweepContext() = default;
+
+  /// The canonical grid of the spec this context was made for (its model's
+  /// build_grid(spec)); simulate_point(i, ...) simulates grid()[i].
+  const std::vector<estimator::GridPoint>& grid() const { return grid_; }
 
   /// Scalar verdict for global grid point `index`, attempt escalation
   /// `rescue_level` (0 on the first attempt). Throws analog::SolverError on
@@ -57,13 +67,14 @@ class SweepContext {
   /// rescue ladder (attempts >= 2).
   virtual std::vector<LaneResult> simulate_batch(
       const std::vector<std::size_t>& lanes);
+
+ private:
+  std::vector<estimator::GridPoint> grid_;
 };
 
 class TechnologyModel {
  public:
   virtual ~TechnologyModel() = default;
-
-  virtual Technology technology() const = 0;
 
   /// Enumerate the canonical characterization grid (detected bits left
   /// false). The estimator commits entries in exactly this order at every
@@ -71,9 +82,10 @@ class TechnologyModel {
   virtual std::vector<estimator::GridPoint> build_grid(
       const estimator::CharacterizeSpec& spec) const = 0;
 
-  /// Build the per-sweep simulation state. `mode` picks how the context
-  /// runs a cell: a backend with a lockstep kernel uses it in Batched and
-  /// the per-lane default in Exact; closed-form backends ignore it.
+  /// Build the per-sweep simulation state over build_grid(spec). `mode`
+  /// picks how the context runs a cell: a backend with a lockstep kernel
+  /// uses it in Batched and the per-lane default in Exact; closed-form
+  /// backends ignore it.
   virtual std::unique_ptr<SweepContext> make_context(
       const estimator::CharacterizeSpec& spec,
       analog::SolverMode mode) const = 0;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "analog/engine.hpp"
 #include "sram/block.hpp"
 #include "tester/ate.hpp"
 
@@ -12,74 +11,26 @@ using defects::Defect;
 using defects::DefectKind;
 using estimator::CharacterizeSpec;
 using estimator::DbEntry;
-
-std::vector<SramTask> build_sram_tasks(const CharacterizeSpec& spec) {
-  std::vector<SramTask> tasks;
-  const auto push = [&tasks](const Defect& defect, DefectKind kind,
-                             int category, double resistance, double vbd,
-                             double vdd, double period) {
-    DbEntry e;
-    e.kind = kind;
-    e.category = category;
-    e.resistance = resistance;
-    e.vbd = vbd;
-    e.vdd = vdd;
-    e.period = period;
-    tasks.push_back({defect, e});
-  };
-
-  for (const auto category : defects::simulatable_bridge_categories(spec.block)) {
-    if (category == layout::BridgeCategory::CellGateOxide) {
-      // Gate-oxide bridges sweep breakdown voltage at a fixed post-breakdown
-      // resistance.
-      for (const double vbd : spec.gox_vbds) {
-        Defect defect = defects::representative_bridge(category, spec.block,
-                                                       spec.gox_resistance);
-        defect.breakdown_v = vbd;
-        for (const double vdd : spec.vdds)
-          for (const double period : spec.periods)
-            push(defect, DefectKind::Bridge, static_cast<int>(category),
-                 spec.gox_resistance, vbd, vdd, period);
-      }
-      continue;
-    }
-    for (const double r : spec.bridge_resistances) {
-      const Defect defect = defects::representative_bridge(category, spec.block, r);
-      for (const double vdd : spec.vdds)
-        for (const double period : spec.periods)
-          push(defect, DefectKind::Bridge, static_cast<int>(category), r, 0.0,
-               vdd, period);
-    }
-  }
-  for (const auto category : defects::simulatable_open_categories(spec.block)) {
-    for (const double r : spec.open_resistances) {
-      const Defect defect = defects::representative_open(category, spec.block, r);
-      for (const double vdd : spec.vdds)
-        for (const double period : spec.periods)
-          push(defect, DefectKind::Open, static_cast<int>(category), r, 0.0,
-               vdd, period);
-    }
-  }
-  return tasks;
-}
+using estimator::GridPoint;
 
 namespace {
 
 class Sram6TContext final : public SweepContext {
  public:
-  Sram6TContext(const CharacterizeSpec& spec, analog::SolverMode mode)
-      : spec_(spec),
+  Sram6TContext(const CharacterizeSpec& spec, analog::SolverMode mode,
+                std::vector<GridPoint> grid)
+      : SweepContext(std::move(grid)),
+        spec_(spec),
         mode_(mode),
-        tasks_(build_sram_tasks(spec)),
         golden_(sram::build_block(spec.block)) {}
 
   bool simulate_point(std::size_t index, int rescue_level) override {
-    const SramTask& task = tasks_[index];
+    const GridPoint& point = grid()[index];
     analog::Netlist faulty = golden_;
-    defects::inject(faulty, task.defect);
+    defects::inject(faulty, point.defect);
     tester::AteOptions ate = spec_.ate;
     ate.rescue_level = rescue_level;
-    const sram::StressPoint at{task.entry.vdd, task.entry.period};
+    const sram::StressPoint at{point.entry.vdd, point.entry.period};
     const tester::AnalogRun run = tester::run_march_analog(
         std::move(faulty), spec_.block, spec_.test, at, ate);
     return !run.log.passed();
@@ -93,14 +44,14 @@ class Sram6TContext final : public SweepContext {
       return SweepContext::simulate_batch(lanes);
     std::vector<LaneResult> results(lanes.size());
     if (lanes.empty()) return results;
-    const SramTask& lead = tasks_[lanes.front()];
+    const GridPoint& lead = grid()[lanes.front()];
     analog::Netlist faulty = golden_;
     const analog::SweptElement swept = defects::inject(faulty, lead.defect);
     const bool vbd = swept.kind == analog::SweptElement::Kind::BreakdownVbd;
     std::vector<double> values;
     values.reserve(lanes.size());
     for (const std::size_t i : lanes)
-      values.push_back(vbd ? tasks_[i].entry.vbd : tasks_[i].entry.resistance);
+      values.push_back(vbd ? grid()[i].entry.vbd : grid()[i].entry.resistance);
     const sram::StressPoint at{lead.entry.vdd, lead.entry.period};
     const std::vector<tester::BatchAnalogRun> runs =
         tester::run_march_analog_batch(std::move(faulty), spec_.block,
@@ -108,9 +59,7 @@ class Sram6TContext final : public SweepContext {
                                        spec_.ate);
     for (std::size_t k = 0; k < lanes.size(); ++k) {
       if (!runs[k].ok) {
-        results[k].error =
-            std::string(analog::solver_failure_name(runs[k].failure)) + ": " +
-            runs[k].error;
+        results[k].error = runs[k].error;
         continue;
       }
       results[k].ok = true;
@@ -122,26 +71,69 @@ class Sram6TContext final : public SweepContext {
  private:
   const CharacterizeSpec& spec_;
   analog::SolverMode mode_;
-  std::vector<SramTask> tasks_;
   analog::Netlist golden_;
 };
 
 class Sram6TModel final : public TechnologyModel {
  public:
-  Technology technology() const override { return Technology::Sram6T; }
-
-  std::vector<estimator::GridPoint> build_grid(
+  std::vector<GridPoint> build_grid(
       const CharacterizeSpec& spec) const override {
-    const std::vector<SramTask> tasks = build_sram_tasks(spec);
-    std::vector<estimator::GridPoint> grid;
-    grid.reserve(tasks.size());
-    for (const SramTask& t : tasks) grid.push_back({t.defect.tag(), t.entry});
+    std::vector<GridPoint> grid;
+    const auto push = [&grid](const Defect& defect, DefectKind kind,
+                              int category, double resistance, double vbd,
+                              double vdd, double period) {
+      DbEntry e;
+      e.kind = kind;
+      e.category = category;
+      e.resistance = resistance;
+      e.vbd = vbd;
+      e.vdd = vdd;
+      e.period = period;
+      grid.push_back({defect, e});
+    };
+
+    for (const auto category :
+         defects::simulatable_bridge_categories(spec.block)) {
+      if (category == layout::BridgeCategory::CellGateOxide) {
+        // Gate-oxide bridges sweep breakdown voltage at a fixed
+        // post-breakdown resistance.
+        for (const double vbd : spec.gox_vbds) {
+          Defect defect = defects::representative_bridge(category, spec.block,
+                                                         spec.gox_resistance);
+          defect.breakdown_v = vbd;
+          for (const double vdd : spec.vdds)
+            for (const double period : spec.periods)
+              push(defect, DefectKind::Bridge, static_cast<int>(category),
+                   spec.gox_resistance, vbd, vdd, period);
+        }
+        continue;
+      }
+      for (const double r : spec.bridge_resistances) {
+        const Defect defect =
+            defects::representative_bridge(category, spec.block, r);
+        for (const double vdd : spec.vdds)
+          for (const double period : spec.periods)
+            push(defect, DefectKind::Bridge, static_cast<int>(category), r,
+                 0.0, vdd, period);
+      }
+    }
+    for (const auto category :
+         defects::simulatable_open_categories(spec.block)) {
+      for (const double r : spec.open_resistances) {
+        const Defect defect =
+            defects::representative_open(category, spec.block, r);
+        for (const double vdd : spec.vdds)
+          for (const double period : spec.periods)
+            push(defect, DefectKind::Open, static_cast<int>(category), r, 0.0,
+                 vdd, period);
+      }
+    }
     return grid;
   }
 
   std::unique_ptr<SweepContext> make_context(
       const CharacterizeSpec& spec, analog::SolverMode mode) const override {
-    return std::make_unique<Sram6TContext>(spec, mode);
+    return std::make_unique<Sram6TContext>(spec, mode, build_grid(spec));
   }
 
   void append_fingerprint(const CharacterizeSpec&,

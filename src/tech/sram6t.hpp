@@ -2,27 +2,16 @@
 // flow, refactored behind the TechnologyModel interface.
 #pragma once
 
-#include <vector>
-
-#include "defects/defect.hpp"
 #include "tech/model.hpp"
 
 namespace memstress::tech {
 
-/// One SRAM-6T grid point: the defect to inject plus the database entry it
-/// produces (detected bit left false until simulated).
-struct SramTask {
-  defects::Defect defect;
-  estimator::DbEntry entry;
-};
-
-/// The canonical SRAM-6T grid enumeration: bridge categories (gate-oxide
-/// sweeping vbd at a fixed resistance, the rest sweeping the bridge R axis),
-/// then open categories sweeping the open R axis, each crossed with
-/// vdd x period in spec order. The undervolt backend reuses this grid
-/// verbatim so its injected population is directly comparable.
-std::vector<SramTask> build_sram_tasks(const estimator::CharacterizeSpec& spec);
-
+/// The SRAM-6T model. Its build_grid() is the canonical SRAM-6T grid
+/// enumeration: bridge categories (gate-oxide sweeping vbd at a fixed
+/// resistance, the rest sweeping the bridge R axis), then open categories
+/// sweeping the open R axis, each crossed with vdd x period in spec order.
+/// The undervolt backend reuses this grid verbatim so its injected
+/// population is directly comparable.
 const TechnologyModel& sram6t_model();
 
 }  // namespace memstress::tech

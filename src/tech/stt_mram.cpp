@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "defects/defect.hpp"
 #include "util/error.hpp"
@@ -70,39 +71,16 @@ bool mtj_read_disturb_detected(const SttMramSpec& spec, double r, double vdd,
 
 namespace {
 
-std::vector<DbEntry> build_mtj_entries(const CharacterizeSpec& spec) {
-  require(!spec.mtj.resistances.empty(),
-          "stt_mram: SttMramSpec::resistances must not be empty");
-  std::vector<DbEntry> entries;
-  for (const MtjFaultCategory category :
-       defects::simulatable_mtj_categories(spec.block)) {
-    for (const double r : spec.mtj.resistances) {
-      for (const double vdd : spec.vdds) {
-        for (const double period : spec.periods) {
-          DbEntry e;
-          e.kind = defects::DefectKind::Mtj;
-          e.category = static_cast<int>(category);
-          e.resistance = r;
-          e.vbd = 0.0;
-          e.vdd = vdd;
-          e.period = period;
-          entries.push_back(e);
-        }
-      }
-    }
-  }
-  return entries;
-}
-
 class SttMramContext final : public SweepContext {
  public:
-  explicit SttMramContext(const CharacterizeSpec& spec)
-      : spec_(spec),
-        entries_(build_mtj_entries(spec)),
+  SttMramContext(const CharacterizeSpec& spec,
+                 std::vector<estimator::GridPoint> grid)
+      : SweepContext(std::move(grid)),
+        spec_(spec),
         hammer_reads_(hammer_read_count(spec.test)) {}
 
   bool simulate_point(std::size_t index, int /*rescue_level*/) override {
-    const DbEntry& e = entries_[index];
+    const DbEntry& e = grid()[index].entry;
     switch (static_cast<MtjFaultCategory>(e.category)) {
       case MtjFaultCategory::Retention:
         return mtj_retention_detected(spec_.mtj, e.resistance, e.vdd);
@@ -118,30 +96,41 @@ class SttMramContext final : public SweepContext {
 
  private:
   const CharacterizeSpec& spec_;
-  std::vector<DbEntry> entries_;
   int hammer_reads_;
 };
 
 class SttMramModel final : public TechnologyModel {
  public:
-  Technology technology() const override { return Technology::SttMram; }
-
   std::vector<estimator::GridPoint> build_grid(
       const CharacterizeSpec& spec) const override {
-    std::vector<DbEntry> entries = build_mtj_entries(spec);
+    require(!spec.mtj.resistances.empty(),
+            "stt_mram: SttMramSpec::resistances must not be empty");
     std::vector<estimator::GridPoint> grid;
-    grid.reserve(entries.size());
-    for (const DbEntry& e : entries) {
-      const defects::Defect defect = defects::representative_mtj(
-          static_cast<MtjFaultCategory>(e.category), spec.block, e.resistance);
-      grid.push_back({defect.tag(), e});
+    for (const MtjFaultCategory category :
+         defects::simulatable_mtj_categories(spec.block)) {
+      for (const double r : spec.mtj.resistances) {
+        const defects::Defect defect =
+            defects::representative_mtj(category, spec.block, r);
+        for (const double vdd : spec.vdds) {
+          for (const double period : spec.periods) {
+            DbEntry e;
+            e.kind = defects::DefectKind::Mtj;
+            e.category = static_cast<int>(category);
+            e.resistance = r;
+            e.vbd = 0.0;
+            e.vdd = vdd;
+            e.period = period;
+            grid.push_back({defect, e});
+          }
+        }
+      }
     }
     return grid;
   }
 
   std::unique_ptr<SweepContext> make_context(
       const CharacterizeSpec& spec, analog::SolverMode) const override {
-    return std::make_unique<SttMramContext>(spec);
+    return std::make_unique<SttMramContext>(spec, build_grid(spec));
   }
 
   void append_fingerprint(const CharacterizeSpec& spec,

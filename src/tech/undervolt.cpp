@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "tech/sram6t.hpp"
 #include "util/error.hpp"
@@ -93,26 +94,24 @@ namespace {
 
 class UndervoltContext final : public SweepContext {
  public:
-  explicit UndervoltContext(const CharacterizeSpec& spec)
-      : spec_(spec),
-        tasks_(build_sram_tasks(spec)),
+  UndervoltContext(const CharacterizeSpec& spec,
+                   std::vector<estimator::GridPoint> grid)
+      : SweepContext(std::move(grid)),
+        spec_(spec),
         ops_(static_cast<double>(spec.block.rows) * spec.block.cols *
              spec.test.complexity()) {}
 
   bool simulate_point(std::size_t index, int /*rescue_level*/) override {
-    return undervolt_detected(spec_.undervolt, tasks_[index].entry, ops_);
+    return undervolt_detected(spec_.undervolt, grid()[index].entry, ops_);
   }
 
  private:
   const CharacterizeSpec& spec_;
-  std::vector<SramTask> tasks_;
   double ops_;
 };
 
 class UndervoltModel final : public TechnologyModel {
  public:
-  Technology technology() const override { return Technology::Undervolt; }
-
   std::vector<estimator::GridPoint> build_grid(
       const CharacterizeSpec& spec) const override {
     // The SRAM-6T grid, verbatim: same sites, same axes, same order.
@@ -121,7 +120,7 @@ class UndervoltModel final : public TechnologyModel {
 
   std::unique_ptr<SweepContext> make_context(
       const CharacterizeSpec& spec, analog::SolverMode) const override {
-    return std::make_unique<UndervoltContext>(spec);
+    return std::make_unique<UndervoltContext>(spec, build_grid(spec));
   }
 
   void append_fingerprint(const CharacterizeSpec& spec,

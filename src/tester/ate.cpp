@@ -107,10 +107,8 @@ std::vector<BatchAnalogRun> run_march_analog_batch(
   std::vector<BatchAnalogRun> runs(lanes.size());
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     BatchAnalogRun& out = runs[l];
-    out.sim_stats = lanes[l].stats;
     out.ok = lanes[l].ok;
     if (!lanes[l].ok) {
-      out.failure = lanes[l].failure;
       out.error = lanes[l].error;
       continue;
     }

@@ -43,14 +43,12 @@ AnalogRun run_march_analog(analog::Netlist netlist, const sram::BlockSpec& spec,
 
 /// Per-lane outcome of a batched march: like AnalogRun, but a lane whose
 /// lockstep *and* scalar-fallback solves both failed reports ok == false
-/// with the SolverError classification instead of throwing — the caller
-/// (estimator::characterize) applies its usual retry/rescue policy to just
-/// that lane.
+/// with the SolverError::reason() in `error` instead of throwing — the
+/// caller (estimator::characterize) applies its usual retry/rescue policy to
+/// just that lane.
 struct BatchAnalogRun {
   bool ok = false;
   march::FailLog log;
-  analog::Simulator::Stats sim_stats;
-  analog::SolverFailure failure = analog::SolverFailure::NewtonNonConvergence;
   std::string error;
 };
 

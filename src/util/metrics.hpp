@@ -19,7 +19,7 @@
 //
 // The toggle: metrics::set_enabled() programmatically, or the
 // MEMSTRESS_METRICS environment variable (1/true/on/yes) read once at first
-// use. core::PipelineConfig::metrics surfaces the same switch per pipeline.
+// use.
 #pragma once
 
 #include <array>

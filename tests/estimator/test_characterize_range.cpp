@@ -81,7 +81,7 @@ TEST(CharacterizeRange, GridEnumerationMatchesTheDatabaseOrder) {
     EXPECT_EQ(grid[i].entry.resistance, db.entries()[i].resistance);
     EXPECT_EQ(grid[i].entry.vdd, db.entries()[i].vdd);
     EXPECT_EQ(grid[i].entry.period, db.entries()[i].period);
-    EXPECT_FALSE(grid[i].defect_tag.empty());
+    EXPECT_FALSE(grid[i].defect.tag().empty());
   }
 }
 

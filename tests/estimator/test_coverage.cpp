@@ -4,6 +4,8 @@
 
 #include <limits>
 
+#include "sram/block.hpp"
+#include "util/bits.hpp"
 #include "util/csv.hpp"
 
 namespace memstress::estimator {
@@ -74,6 +76,22 @@ TEST(MemoryGeometry, AddressBitsTerminateForEveryRowCount) {
   EXPECT_EQ(MemoryGeometry{1 << 30}.address_bits(), 30);
   EXPECT_EQ(MemoryGeometry{(1 << 30) + 1}.address_bits(), 31);
   EXPECT_EQ(MemoryGeometry{std::numeric_limits<int>::max()}.address_bits(), 31);
+  EXPECT_EQ(sram::BlockSpec{1 << 30}.address_bits(), 30);
+  EXPECT_EQ(sram::BlockSpec{(1 << 30) + 1}.address_bits(), 31);
+  // The one helper every decoder, march and MBIST address counter calls.
+  EXPECT_EQ(ceil_log2(std::numeric_limits<long long>::min()), 0);
+  EXPECT_EQ(ceil_log2(0), 0);
+  EXPECT_EQ(ceil_log2(1), 0);
+  EXPECT_EQ(ceil_log2(2), 1);
+  EXPECT_EQ(ceil_log2(3), 2);
+  EXPECT_EQ(ceil_log2(4), 2);
+  EXPECT_EQ(ceil_log2(5), 3);
+  EXPECT_EQ(ceil_log2(512), 9);
+  EXPECT_EQ(ceil_log2(513), 10);
+  EXPECT_EQ(ceil_log2(1LL << 32), 32);
+  EXPECT_EQ(ceil_log2((1LL << 32) + 1), 33);
+  EXPECT_EQ(ceil_log2(1LL << 62), 62);
+  EXPECT_EQ(ceil_log2(std::numeric_limits<long long>::max()), 63);
 }
 
 TEST(PopulationModel, ScalesCellCategoriesWithCellCount) {

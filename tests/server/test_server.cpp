@@ -177,6 +177,24 @@ TEST(ServerLoopback, NumericCategoryMustBeAnInt) {
                   "\"resistance\":1e3,\"vdd\":1.8,\"period\":2.5e-8}")));
 }
 
+TEST(ServerLoopback, MonteCarloDefectsDoNotWrap) {
+  TestServer fixture;
+  Client client(fixture.client_config());
+  // 2^32 + 5 narrowed to int is 5; it must be rejected, not answered as 5.
+  try {
+    client.request("schedule",
+                   Json::parse("{\"monte_carlo_defects\":4294967301}"));
+    FAIL() << "2^32 + 5 Monte-Carlo defects were answered";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.code(), "bad_request");
+    EXPECT_NE(std::string(e.what()).find("monte_carlo_defects"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(client.request(
+      "schedule", Json::parse("{\"monte_carlo_defects\":5}")));
+}
+
 TEST(ServerLoopback, OversizedFrameAnswersThenCloses) {
   ServerConfig config;
   config.max_frame_bytes = 256;

@@ -143,7 +143,7 @@ TEST(TechMatrix, UndervoltGridMirrorsTheSramGrid) {
   const std::vector<GridPoint> b = characterize_grid(uv);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].defect_tag, b[i].defect_tag);
+    EXPECT_EQ(a[i].defect.tag(), b[i].defect.tag());
     EXPECT_EQ(a[i].entry.kind, b[i].entry.kind);
     EXPECT_EQ(a[i].entry.category, b[i].entry.category);
     EXPECT_EQ(a[i].entry.resistance, b[i].entry.resistance);

@@ -4,6 +4,9 @@
 // fab model and sampler mode, and the per-technology default specs.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "defects/defect.hpp"
 #include "defects/distributions.hpp"
 #include "defects/sampler.hpp"
@@ -32,9 +35,39 @@ TEST(Technology, ModelForReturnsTheMatchingSingleton) {
   for (const auto technology :
        {Technology::Sram6T, Technology::SttMram, Technology::Undervolt}) {
     const TechnologyModel& model = model_for(technology);
-    EXPECT_EQ(model.technology(), technology);
     // Stateless singletons: the same reference every time.
     EXPECT_EQ(&model, &model_for(technology));
+  }
+}
+
+TEST(Technology, ContextGridIsTheModelGrid) {
+  // characterize() commits by the context's grid, so it must be the grid
+  // build_grid() enumerates — point for point, in both solver modes.
+  for (const auto technology :
+       {Technology::Sram6T, Technology::SttMram, Technology::Undervolt}) {
+    const estimator::CharacterizeSpec spec =
+        default_characterize_spec(technology);
+    const TechnologyModel& model = model_for(technology);
+    const std::vector<estimator::GridPoint> expected = model.build_grid(spec);
+    ASSERT_FALSE(expected.empty()) << technology_name(technology);
+    for (const auto mode :
+         {analog::SolverMode::Batched, analog::SolverMode::Exact}) {
+      const std::unique_ptr<SweepContext> ctx = model.make_context(spec, mode);
+      const std::vector<estimator::GridPoint>& grid = ctx->grid();
+      ASSERT_EQ(grid.size(), expected.size()) << technology_name(technology);
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        const estimator::DbEntry& a = grid[i].entry;
+        const estimator::DbEntry& b = expected[i].entry;
+        EXPECT_EQ(a.kind, b.kind) << i;
+        EXPECT_EQ(a.category, b.category) << i;
+        EXPECT_EQ(a.resistance, b.resistance) << i;
+        EXPECT_EQ(a.vbd, b.vbd) << i;
+        EXPECT_EQ(a.vdd, b.vdd) << i;
+        EXPECT_EQ(a.period, b.period) << i;
+        EXPECT_EQ(a.detected, b.detected) << i;
+        EXPECT_EQ(grid[i].defect.tag(), expected[i].defect.tag()) << i;
+      }
+    }
   }
 }
 
