@@ -20,13 +20,14 @@
 //   MEMSTRESS_REQUEST_TIMEOUT_MS  per-request compute deadline (default 10000)
 //   MEMSTRESS_IDLE_TIMEOUT_MS     keep-alive idle lifetime (default 300000);
 //                                 expiry answers "idle_timeout", then closes
-//   MEMSTRESS_WRITE_TIMEOUT_MS    send deadline for buffered responses when
+//   MEMSTRESS_WRITE_TIMEOUT_MS    send deadline for unsent responses when
 //                                 a client stops reading (default 5000)
 //   MEMSTRESS_MAX_INFLIGHT        per-connection pipelined-request cap
 //                                 (default 64)
-//   MEMSTRESS_MAX_OUTPUT_BYTES    per-connection buffered-output cap; past
-//                                 it the reactor stops reading from that
-//                                 connection (default 8 MiB)
+//   MEMSTRESS_MAX_OUTPUT_BYTES    per-connection cap on bytes still unsent
+//                                 after a flush; past it the reactor stops
+//                                 reading from that connection (default
+//                                 8 MiB)
 //   MEMSTRESS_MAX_CONNECTIONS     accepted-socket cap (default 0 = derive
 //                                 from RLIMIT_NOFILE after raising it)
 //   MEMSTRESS_CACHE_ENTRIES       result-cache entries     (default 1024,

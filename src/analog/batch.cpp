@@ -680,28 +680,24 @@ std::vector<LaneResult> BatchSimulator::run(
     }
   }
 
-  // Fold per-lane statistics into the results and the process counters.
+  // Record each lane's outcome, and add its statistics (plus its fallback
+  // simulator's) to the process counters.
   static metrics::Counter& steps_c = metrics::counter("analog.steps");
   static metrics::Counter& newton_c = metrics::counter("analog.newton_iterations");
   static metrics::Counter& halvings_c = metrics::counter("analog.halvings");
   static metrics::Counter& scalar_factorizations_c =
       metrics::counter("analog.scalar_factorizations");
+  const auto count = [&](const Simulator::Stats& s) {
+    steps_c.add(s.steps);
+    newton_c.add(s.newton_iterations);
+    halvings_c.add(s.halvings);
+    scalar_factorizations_c.add(s.factorizations);
+  };
   for (std::size_t l = 0; l < lanes; ++l) {
-    LaneResult& out = results[l];
-    out.stats = r.stats[l];
-    if (r.fallbacks[l].sim) {
-      const Simulator::Stats& fs = r.fallbacks[l].sim->stats();
-      out.stats.steps += fs.steps;
-      out.stats.newton_iterations += fs.newton_iterations;
-      out.stats.halvings += fs.halvings;
-      out.stats.factorizations += fs.factorizations;
-    }
-    out.ok = !r.dead[l];
-    if (r.dead[l]) out.error = r.error[l];
-    steps_c.add(out.stats.steps);
-    newton_c.add(out.stats.newton_iterations);
-    halvings_c.add(out.stats.halvings);
-    scalar_factorizations_c.add(out.stats.factorizations);
+    results[l].ok = !r.dead[l];
+    if (r.dead[l]) results[l].error = r.error[l];
+    count(r.stats[l]);
+    if (r.fallbacks[l].sim) count(r.fallbacks[l].sim->stats());
   }
   refactor_avoided_counter().add(r.refactor_avoided);
   refactorization_counter().add(r.refactorizations);

@@ -79,7 +79,6 @@ struct LaneResult {
   /// Recorded waveforms for an ok lane; a placeholder single-signal trace
   /// (Trace rejects zero signals) when ok == false.
   Trace trace{std::vector<std::string>{"(none)"}};
-  Simulator::Stats stats;
   std::string error;
 };
 

@@ -132,9 +132,6 @@ class Simulator {
   void set_state(const std::vector<double>& v);
 
   std::size_t num_unknowns() const { return num_unknowns_; }
-  /// Node-voltage unknowns (the first num_node_unknowns() entries of the
-  /// state vector; the rest are vsource branch currents).
-  std::size_t num_node_unknowns() const { return num_nodes_; }
 
   /// Statistics from the last run (for perf benchmarks / regression tests).
   struct Stats {

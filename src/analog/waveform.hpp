@@ -52,7 +52,6 @@ class Trace {
   /// Append one time point; `values` arity must match the signal count.
   void append(double time_s, const std::vector<double>& values);
 
-  std::size_t signal_count() const { return names_.size(); }
   std::size_t sample_count() const { return times_.size(); }
   const std::vector<std::string>& names() const { return names_; }
   const std::vector<double>& times() const { return times_; }

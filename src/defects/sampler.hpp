@@ -42,7 +42,6 @@ class DefectSampler {
   const SitePopulation& population() const { return population_; }
   const FabModel& fab() const { return fab_; }
   const MtjFabModel& mtj_fab() const { return mtj_fab_; }
-  bool mtj_mode() const { return mtj_mode_; }
 
  private:
   SitePopulation population_;

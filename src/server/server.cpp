@@ -13,7 +13,6 @@
 #include <sys/eventfd.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include "util/chaos.hpp"
@@ -275,7 +274,7 @@ void Server::reactor_loop() {
       if (std::none_of(connections_.begin(), connections_.end(),
                        [](const auto& entry) {
                          return !entry.second->closed &&
-                                !entry.second->write_queue.empty();
+                                entry.second->unsent() > 0;
                        }))
         break;  // every response delivered (or write-deadlined)
     }
@@ -329,7 +328,9 @@ void Server::accept_ready() {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.send_buffer_bytes,
                    sizeof config_.send_buffer_bytes);
     epoll_event event{};
-    event.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
+    // Both directions, edge-triggered, once: the interest never changes. An
+    // EPOLLOUT edge with nothing unsent is a flush of nothing.
+    event.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
     event.data.fd = fd;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) {
       close_fd(fd);
@@ -442,86 +443,57 @@ void Server::handle_line(Connection& conn, const std::string& line) {
   ++conn.in_flight;
 }
 
-void Server::enqueue_frame(Connection& conn, std::string frame) {
-  frame += '\n';
-  conn.buffered_bytes += frame.size();
-  conn.write_queue.push_back(std::move(frame));
-  if (conn.buffered_bytes > config_.max_output_bytes && !conn.paused_read)
-    // Output cap: stop consuming requests from a connection that is not
-    // draining its responses; reading resumes below the low watermark.
+void Server::enqueue_frame(Connection& conn, const std::string& frame) {
+  conn.out += frame;
+  conn.out += '\n';
+  flush_writes(conn);  // opportunistic: most frames go out in this send
+  // Output cap: stop consuming requests from a connection that is not
+  // draining its responses; reading resumes below the low watermark. Only
+  // bytes a flush could not send count, so a pause always waits on a flush
+  // that stopped on EAGAIN, and the EPOLLOUT edge that follows resumes it.
+  if (!conn.closed && conn.unsent() > config_.max_output_bytes)
     conn.paused_read = true;
-  flush_writes(conn);  // opportunistic: most frames go out in one sendmsg
-}
-
-void Server::update_write_interest(Connection& conn, bool want) {
-  if (conn.want_write == want) return;
-  conn.want_write = want;
-  epoll_event event{};
-  event.events = EPOLLIN | EPOLLRDHUP | EPOLLET |
-                 (want ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
-  event.data.fd = conn.fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &event);
 }
 
 void Server::flush_writes(Connection& conn) {
-  if (conn.closed) return;
+  if (conn.closed || conn.unsent() == 0) return;
   bool progressed = false;
-  while (!conn.write_queue.empty()) {
-    iovec iov[16];
-    int iov_count = 0;
-    std::size_t offset = conn.write_offset;
-    for (const std::string& frame : conn.write_queue) {
-      if (iov_count == 16) break;
-      iov[iov_count].iov_base =
-          const_cast<char*>(frame.data()) + offset;
-      iov[iov_count].iov_len = frame.size() - offset;
-      ++iov_count;
-      offset = 0;
-    }
-    // sendmsg, not writev: only the msg flavor takes MSG_NOSIGNAL, and a
-    // peer that resets mid-flush must surface as EPIPE here — never as a
-    // process-killing SIGPIPE.
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<std::size_t>(iov_count);
-    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+  while (conn.unsent() > 0) {
+    // MSG_NOSIGNAL: a peer that resets mid-flush must surface as EPIPE
+    // here, never as a process-killing SIGPIPE.
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_sent,
+                             conn.unsent(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       return close_connection(conn);  // EPIPE/ECONNRESET: the peer is gone
     }
     progressed = true;
-    conn.buffered_bytes -= static_cast<std::size_t>(n);
-    std::size_t remaining = static_cast<std::size_t>(n);
-    while (remaining > 0) {
-      std::string& front = conn.write_queue.front();
-      const std::size_t left = front.size() - conn.write_offset;
-      if (remaining >= left) {
-        remaining -= left;
-        conn.write_offset = 0;
-        conn.write_queue.pop_front();
-      } else {
-        conn.write_offset += remaining;
-        remaining = 0;
-      }
-    }
+    conn.out_sent += static_cast<std::size_t>(n);
   }
-  if (conn.write_queue.empty()) {
+  if (conn.unsent() == 0) {
+    conn.out.clear();
+    conn.out_sent = 0;
     conn.write_deadline = Clock::time_point::max();
-    update_write_interest(conn, false);
     return maybe_close_drained(conn);
   }
-  // Still buffered: (re)arm the send deadline. Progress resets it — the
+  // The socket is full. Drop the sent prefix once it outgrows the unsent
+  // rest: a reader that never quite catches up then costs amortized O(1)
+  // copying per byte, where an erase after every send is quadratic.
+  if (conn.out_sent > conn.unsent()) {
+    conn.out.erase(0, conn.out_sent);
+    conn.out_sent = 0;
+  }
+  // Still unsent: (re)arm the send deadline. Progress resets it — the
   // deadline bounds a reader that stopped, not one that is merely slow.
   if (progressed || conn.write_deadline == Clock::time_point::max())
     conn.write_deadline =
         Clock::now() + std::chrono::milliseconds(config_.write_timeout_ms);
-  update_write_interest(conn, true);
 }
 
 void Server::resume_if_drained(Connection& conn) {
   // Draining below the low watermark resumes a paused reader.
-  if (!conn.paused_read || conn.buffered_bytes > config_.max_output_bytes / 2)
+  if (!conn.paused_read || conn.unsent() > config_.max_output_bytes / 2)
     return;
   conn.paused_read = false;
   connection_readable(conn);
@@ -541,9 +513,8 @@ void Server::apply_completions() {
     Connection& conn = *it->second;
     --conn.in_flight;
     conn.last_activity = Clock::now();
-    const bool was_paused = conn.paused_read;
-    enqueue_frame(conn, std::move(completion.frame));
-    if (was_paused) resume_if_drained(conn);
+    enqueue_frame(conn, completion.frame);
+    resume_if_drained(conn);
   }
 }
 
@@ -556,13 +527,13 @@ void Server::sweep_timers(Clock::time_point now) {
   for (const auto& entry : connections_) {
     Connection& conn = *entry.second;
     if (conn.closed) continue;
-    if (conn.write_deadline <= now && !conn.write_queue.empty()) {
+    if (conn.write_deadline <= now && conn.unsent() > 0) {
       // The peer stopped reading: nothing structured can reach it, so the
       // only correct move is to stop spending anything on it.
       write_timeouts.add(1);
       close_connection(conn);
     } else if (!draining && !conn.eof_seen && conn.in_flight == 0 &&
-               conn.write_queue.empty() &&
+               conn.unsent() == 0 &&
                conn.last_activity +
                        std::chrono::milliseconds(config_.idle_timeout_ms) <=
                    now) {
@@ -578,7 +549,7 @@ void Server::sweep_timers(Clock::time_point now) {
 }
 
 void Server::maybe_close_drained(Connection& conn) {
-  if (conn.eof_seen && conn.in_flight == 0 && conn.write_queue.empty())
+  if (conn.eof_seen && conn.in_flight == 0 && conn.unsent() == 0)
     close_connection(conn);
 }
 

@@ -5,12 +5,12 @@
 //
 // Threading model:
 //   * One reactor thread owns the listen socket, every connection's state
-//     machine and all socket I/O. Connections are nonblocking; each reads
-//     through its own LineReader (server/protocol.hpp), the one frame
-//     cutter, and writes go through a per-connection buffered queue
-//     flushed with scatter/gather sendmsg (MSG_NOSIGNAL: a peer resetting
-//     mid-flush is an EPIPE, not a process-killing SIGPIPE).
-//     No other thread ever touches a socket.
+//     machine and all socket I/O. Connections are nonblocking and join
+//     epoll once, for both directions, edge-triggered. Each reads through
+//     its own LineReader (server/protocol.hpp), the one frame cutter, and
+//     appends its responses to one byte buffer that a send() loop flushes
+//     (MSG_NOSIGNAL: a peer resetting mid-flush is an EPIPE, not a
+//     process-killing SIGPIPE). No other thread ever touches a socket.
 //   * A worker pool pulls *parsed requests* (not connections) from a
 //     bounded queue, runs MemstressService::handle_serialized — the compute
 //     seam, untouched by the transport — and posts the finished frame back
@@ -40,13 +40,13 @@
 //   * request_timeout_ms — the compute deadline. A request whose handler
 //     (or queue wait) overruns it answers "timeout".
 //   * idle_timeout_ms — keep-alive lifetime. A connection with no requests
-//     in flight and no buffered output is told "idle_timeout" and closed;
+//     in flight and no unsent output is told "idle_timeout" and closed;
 //     idle clients never occupy a worker, so they cannot starve anything.
-//   * write_timeout_ms — the send deadline. Buffered output that makes no
+//   * write_timeout_ms — the send deadline. Unsent output that makes no
 //     progress for this long (a client that stopped reading) closes the
-//     connection; per-connection output is additionally capped at
-//     max_output_bytes, past which the reactor stops *reading* from that
-//     connection (backpressure) until the buffer drains.
+//     connection. Separately, when more than max_output_bytes are still
+//     unsent after a flush, the reactor stops *reading* from that
+//     connection (backpressure) until they fall to half the cap.
 //
 // Lifecycle: stop() (or SIGINT via serve_until_cancelled()) stops
 // accepting, lets every in-flight request finish and deliver its response,
@@ -96,23 +96,23 @@ struct ServerConfig {
   /// far outlive request_timeout_ms; when it expires the client is told
   /// "idle_timeout" before the close, never silently dropped.
   int idle_timeout_ms = 300000;
-  /// Send deadline (MEMSTRESS_WRITE_TIMEOUT_MS): buffered output making no
+  /// Send deadline (MEMSTRESS_WRITE_TIMEOUT_MS): unsent output making no
   /// progress for this long means the client stopped reading; the
   /// connection is closed instead of wedging anything.
   int write_timeout_ms = 5000;
   /// Per-connection unfinished-request cap (MEMSTRESS_MAX_INFLIGHT).
   int max_inflight = 64;
-  /// Per-connection buffered-output cap in bytes
-  /// (MEMSTRESS_MAX_OUTPUT_BYTES). Past it the reactor pauses reading from
-  /// that connection until the buffer drains below half the cap.
+  /// Per-connection output cap in bytes (MEMSTRESS_MAX_OUTPUT_BYTES). It
+  /// counts the bytes still unsent after a flush: past it the reactor pauses
+  /// reading from that connection until they fall to half the cap.
   std::size_t max_output_bytes = 8u << 20;
   /// Accepted-connection cap (MEMSTRESS_MAX_CONNECTIONS; 0 = derive from
   /// the fd budget: RLIMIT_NOFILE minus headroom after start() raises the
   /// soft limit to the hard one).
   int max_connections = 0;
   /// SO_SNDBUF for accepted sockets (0 keeps the kernel default). Tests and
-  /// the high-concurrency bench shrink it to exercise the buffered-write
-  /// path without megabyte responses.
+  /// the high-concurrency bench shrink it to exercise partial sends without
+  /// megabyte responses.
   int send_buffer_bytes = 0;
   std::size_t max_frame_bytes = kMaxFrameBytes;  ///< per-line byte cap
   /// Result-cache entries (MEMSTRESS_CACHE_ENTRIES, 0 disables the cache).
@@ -203,17 +203,17 @@ class Server {
     int fd;
     std::uint64_t id;
     LineReader reader;
-    std::deque<std::string> write_queue;
-    std::size_t write_offset = 0;  ///< sent bytes of write_queue.front()
-    std::size_t buffered_bytes = 0;
+    std::string out;           ///< response frames, each '\n'-terminated
+    std::size_t out_sent = 0;  ///< leading bytes of `out` already sent
     int in_flight = 0;
     long long line_number = 0;
     Clock::time_point last_activity;
     Clock::time_point write_deadline = Clock::time_point::max();
-    bool want_write = false;   ///< EPOLLOUT currently armed
-    bool paused_read = false;  ///< output cap reached; not reading
+    bool paused_read = false;  ///< over the output cap; not reading
     bool eof_seen = false;     ///< no more requests; close once drained
     bool closed = false;       ///< out of epoll; reap_closed() frees it
+
+    std::size_t unsent() const { return out.size() - out_sent; }
   };
 
   void reactor_loop();
@@ -230,9 +230,8 @@ class Server {
   void accept_ready();
   void connection_readable(Connection& conn);
   void handle_line(Connection& conn, const std::string& line);
-  void enqueue_frame(Connection& conn, std::string frame);
+  void enqueue_frame(Connection& conn, const std::string& frame);
   void flush_writes(Connection& conn);
-  void update_write_interest(Connection& conn, bool want);
   void resume_if_drained(Connection& conn);
   void apply_completions();
   void sweep_timers(Clock::time_point now);

@@ -51,6 +51,10 @@ void set_receive_deadline(int fd, int ms) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
 }
 
+std::string health_line(long long id) {
+  return "{\"v\":1,\"id\":" + std::to_string(id) + ",\"type\":\"health\"}";
+}
+
 TEST(ServerLoopback, HealthReportsTheDatabase) {
   TestServer fixture;
   EXPECT_GT(fixture.server.port(), 0);
@@ -349,6 +353,63 @@ TEST(ServerBackpressure, IdleConnectionsDoNotStarveWorkers) {
   client_config.max_retries = 0;  // any busy must fail the test, not retry
   Client client(client_config);
   EXPECT_EQ(client.request("health").at("status").as_string(), "ok");
+}
+
+TEST(ServerBackpressure, FrameOverTheOutputCapKeepsTheConnectionReading) {
+  // One health answer is longer than this cap, yet it goes out in one send.
+  // The cap must count only bytes a flush left unsent: pausing on the
+  // frame's size waits for an EPOLLOUT edge that never comes, and the
+  // connection's next request is never read.
+  ServerConfig config;
+  config.workers = 1;
+  config.max_output_bytes = 64;
+  TestServer fixture(config);
+  ClientConfig client_config = fixture.client_config();
+  client_config.timeout_ms = 2000;
+  client_config.max_retries = 0;
+  Client client(client_config);
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(client.request("health").at("status").as_string(), "ok") << i;
+}
+
+TEST(ServerBackpressure, PausedReaderResumesAndGetsEveryResponse) {
+  // A reader that falls behind, then catches up: its answers overflow the
+  // tiny socket buffers and then the 8 KiB cap, so the reactor stops
+  // reading its pipelined requests. Once the client reads, the reactor must
+  // resume the connection and answer every request with the exact bytes of
+  // a direct call.
+  ServerConfig config;
+  config.workers = 2;
+  config.queue_depth = 512;
+  config.max_inflight = 512;
+  config.max_output_bytes = 8192;
+  config.send_buffer_bytes = 4096;
+  TestServer fixture(config);
+
+  RawConnection raw(fixture.server.port());
+  ASSERT_TRUE(raw.connected());
+  const int tiny = 4096;
+  ::setsockopt(raw.fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof tiny);
+  const long long requests = 300;
+  std::string burst;
+  for (long long id = 1; id <= requests; ++id) burst += health_line(id) + "\n";
+  ASSERT_TRUE(write_all(raw.fd, burst));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  set_receive_deadline(raw.fd, 5000);
+  LineReader reader(raw.fd);
+  std::vector<bool> answered(static_cast<std::size_t>(requests) + 1, false);
+  for (long long n = 0; n < requests; ++n) {
+    const Frame frame = reader.read_line();
+    ASSERT_EQ(frame.status, Frame::Status::Line) << n << " answers read";
+    const Response response = parse_response(frame.text);
+    ASSERT_GE(response.id, 1);
+    ASSERT_LE(response.id, requests);
+    EXPECT_FALSE(answered[static_cast<std::size_t>(response.id)])
+        << "id " << response.id << " answered twice";
+    answered[static_cast<std::size_t>(response.id)] = true;
+    EXPECT_EQ(frame.text, fixture.expected_response(health_line(response.id)));
+  }
 }
 
 TEST(ServerShutdown, InFlightRequestFinishesAndRespondsDuringStop) {
