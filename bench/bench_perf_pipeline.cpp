@@ -1,13 +1,14 @@
-// Perf-regression bench for the parallel pipeline: times the three layers
-// that ISSUE-1 parallelised — grid characterization, the sharded Monte-Carlo
-// study, and detectability lookups (indexed vs the old linear scan) — at one
-// thread and at the machine's default thread count, and checks that the
-// parallel artifacts are bit-identical to the serial ones.
+// Perf-regression bench for the parallel pipeline: times grid
+// characterization, the sharded Monte-Carlo study and detectability lookups
+// (indexed vs the old linear scan, and five per-corner calls vs one
+// five-corner mask) at one thread and at the machine's default thread count,
+// and checks that the parallel artifacts are bit-identical to the serial ones.
 //
 // The last stdout line is machine-readable for trend tracking:
 //   BENCH_JSON {"bench":"perf_pipeline", ...}
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -17,6 +18,7 @@
 #include "bench/common.hpp"
 #include "defects/sampler.hpp"
 #include "estimator/detectability.hpp"
+#include "estimator/schedule.hpp"
 #include "layout/sram_layout.hpp"
 #include "study/study.hpp"
 #include "util/chaos.hpp"
@@ -420,10 +422,44 @@ int main(int argc, char** argv) {
   const double lookup_indexed_s = seconds_since(t0);
 
   std::printf("db lookup (%zu queries over %zu entries): %.1f us linear, "
-              "%.1f us indexed (%.1fx)  verdicts %s\n\n",
+              "%.1f us indexed (%.1fx)  verdicts %s\n",
               queries.size(), serial_db.size(), 1e6 * lookup_linear_s,
               1e6 * lookup_indexed_s, lookup_linear_s / lookup_indexed_s,
               hits == indexed_hits ? "IDENTICAL" : "MISMATCH");
+
+  // Five-corner lookups: five detected() calls against one detected_mask
+  // per sampled defect, at the schedule's standard legs.
+  std::vector<sram::StressPoint> legs;
+  for (const estimator::TestLeg& leg : estimator::standard_legs())
+    legs.push_back(leg.at);
+  std::vector<defects::Defect> corner_defects;
+  {
+    Rng rng(11);
+    corner_defects.reserve(20000);
+    for (int i = 0; i < 20000; ++i) corner_defects.push_back(sampler.sample(rng));
+  }
+  std::vector<std::uint32_t> single_masks, joint_masks;
+  single_masks.reserve(corner_defects.size());
+  joint_masks.reserve(corner_defects.size());
+  t0 = std::chrono::steady_clock::now();
+  for (const defects::Defect& defect : corner_defects) {
+    std::uint32_t mask = 0;
+    for (std::size_t c = 0; c < legs.size(); ++c)
+      if (serial_db.detected(defect, legs[c])) mask |= std::uint32_t{1} << c;
+    single_masks.push_back(mask);
+  }
+  const double lookup_single_s = seconds_since(t0);
+  t0 = std::chrono::steady_clock::now();
+  for (const defects::Defect& defect : corner_defects)
+    joint_masks.push_back(serial_db.detected_mask(defect, legs));
+  const double lookup_mask_s = seconds_since(t0);
+  const bool mask_identical = single_masks == joint_masks;
+  std::printf("five-corner lookup (%zu defects x %zu legs): %.1f us as "
+              "detected() calls, %.1f us as detected_mask (%.2fx)  "
+              "verdicts %s\n\n",
+              corner_defects.size(), legs.size(), 1e6 * lookup_single_s,
+              1e6 * lookup_mask_s, lookup_single_s / lookup_mask_s,
+              mask_identical ? "IDENTICAL" : "MISMATCH");
 
   // --- Layer 4: the analog solver backends, exact vs lockstep. ------------
   // Timed single-threaded so the comparison isolates the kernel, not the
@@ -509,6 +545,8 @@ int main(int argc, char** argv) {
               hits == indexed_hits ? "HOLDS" : "DEVIATES");
   std::printf("  indexed lookup faster than linear ......... %s\n",
               lookup_speedup > 1.0 ? "HOLDS" : "DEVIATES");
+  std::printf("  mask lookup verdicts identical ............ %s\n",
+              mask_identical ? "HOLDS" : "DEVIATES");
   std::printf("  solver backends CSV byte-identical ........ %s\n\n",
               solver_identical ? "HOLDS" : "DEVIATES");
 
@@ -522,6 +560,7 @@ int main(int argc, char** argv) {
       "\"study_speedup\":%.3f,\"study_identical\":%s,"
       "\"lookup_queries\":%zu,\"lookup_linear_s\":%.6f,"
       "\"lookup_indexed_s\":%.6f,\"lookup_speedup\":%.3f,"
+      "\"mask_lookup_speedup\":%.3f,"
       "\"solver_exact_s\":%.4f,"
       "\"solver_batched_s\":%.4f,\"solver_speedup\":%.3f,"
       "\"solver_newton_exact\":%lld,\"solver_newton_batched\":%lld,"
@@ -539,7 +578,8 @@ int main(int argc, char** argv) {
       csv_identical ? "true" : "false", study_config.device_count,
       study_serial_s, study_parallel_s, study_speedup,
       study_identical ? "true" : "false", queries.size(), lookup_linear_s,
-      lookup_indexed_s, lookup_speedup, solver_s[0], solver_s[1],
+      lookup_indexed_s, lookup_speedup, lookup_single_s / lookup_mask_s,
+      solver_s[0], solver_s[1],
       solver_s[0] / solver_s[1], solver_newton[0], solver_newton[1],
       solver_factorizations[0], solver_factorizations[1], solver_avoided,
       solver_avoided + solver_kernel_refactor > 0
@@ -553,7 +593,7 @@ int main(int argc, char** argv) {
       count_of(report, "estimator.db_lookups"),
       count_of(report, "study.devices"), count_of(report, "parallel.tasks"));
   return csv_identical && study_identical && hits == indexed_hits &&
-                 solver_identical
+                 mask_identical && solver_identical
              ? 0
              : 1;
 }

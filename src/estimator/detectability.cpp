@@ -26,6 +26,37 @@ namespace memstress::estimator {
 using defects::Defect;
 using defects::DefectKind;
 
+namespace {
+
+/// A condition group's cost from a query at (vdd, log(period)): the term
+/// that dominates an entry's cost. The constructor's isolation and every
+/// lookup share this arithmetic, so an isolation compares exactly with the
+/// cost a lookup computes.
+double condition_cost(const auto& group, double vdd, double log_period) {
+  const double dv = (group.vdd - vdd) / 0.05;
+  const double dt = (group.log_period - log_period) / 0.05;
+  return (dv * dv + dt * dt) * 1e6;
+}
+
+int category_of(const Defect& defect) {
+  switch (defect.kind) {
+    case DefectKind::Bridge:
+      return static_cast<int>(defect.bridge_category);
+    case DefectKind::Open:
+      return static_cast<int>(defect.open_category);
+    case DefectKind::Mtj:
+      return static_cast<int>(defect.mtj_category);
+  }
+  return 0;
+}
+
+void count_lookups(long long n) {
+  static metrics::Counter& lookups = metrics::counter("estimator.db_lookups");
+  lookups.add(n);
+}
+
+}  // namespace
+
 DetectabilityDb::DetectabilityDb(std::vector<DbEntry> entries,
                                  std::vector<QuarantineEntry> quarantine,
                                  std::string fingerprint,
@@ -47,11 +78,32 @@ DetectabilityDb::DetectabilityDb(std::vector<DbEntry> entries,
       }
     }
     if (!group) {
-      bucket.groups.push_back({e.vdd, e.period, std::log(e.period), {}, {}});
-      group = &bucket.groups.back();
+      group = &bucket.groups.emplace_back();
+      group->vdd = e.vdd;
+      group->period = e.period;
+      group->log_period = std::log(e.period);
     }
     group->entry_indices.push_back(i);
-    group->log_resistance.push_back(std::log(e.resistance));
+  }
+  for (auto& [key, bucket] : index_) {
+    for (ConditionGroup& g : bucket.groups) {
+      const std::size_t n = g.entry_indices.size();
+      g.log_resistance.reserve(n);
+      g.vbd.reserve(n);
+      g.detected.reserve(n);
+      for (const std::uint32_t i : g.entry_indices) {
+        g.log_resistance.push_back(std::log(entries_[i].resistance));
+        g.vbd.push_back(entries_[i].vbd);
+        g.detected.push_back(entries_[i].detected);
+      }
+      // The cost a query on g's own condition computes for each other
+      // group; a NaN one never wins, so std::min may drop it.
+      g.isolation = std::numeric_limits<double>::infinity();
+      for (const ConditionGroup& h : bucket.groups)
+        if (&h != &g)
+          g.isolation =
+              std::min(g.isolation, condition_cost(h, g.vdd, g.log_period));
+    }
   }
 }
 
@@ -77,17 +129,16 @@ std::string QuarantineEntry::describe() const {
          ": " + reason + " (" + std::to_string(attempts) + " attempts)";
 }
 
-bool DetectabilityDb::detected(DefectKind kind, int category, double resistance,
-                               double vdd, double period, double vbd) const {
-  {
-    static metrics::Counter& lookups =
-        metrics::counter("estimator.db_lookups");
-    lookups.add(1);
-  }
+const DetectabilityDb::Bucket& DetectabilityDb::bucket(DefectKind kind,
+                                                      int category) const {
   const auto it = index_.find({static_cast<int>(kind), category});
   require(it != index_.end(),
           "DetectabilityDb: no entries for this defect class");
+  return it->second;
+}
 
+bool DetectabilityDb::Bucket::detected(double log_r, double vbd, double vdd,
+                                       double period) const {
   // Condition distance dominates; defect parameters break ties within a
   // corner. The arithmetic (and the first-entry-wins tie-break on equal
   // cost) is kept bit-identical to a linear scan over entries(): the
@@ -96,68 +147,93 @@ bool DetectabilityDb::detected(DefectKind kind, int category, double resistance,
   // nearest group first makes that skip fire for nearly every other group.
   // The skip is exact and ties go to the lowest entry index, so the order
   // groups are visited in cannot change the answer.
-  const double log_r = std::log(resistance);
-  const double log_p = std::log(period);
-  const auto condition_cost = [&](const ConditionGroup& group) {
-    const double dv = (group.vdd - vdd) / 0.05;
-    const double dt = (group.log_period - log_p) / 0.05;
-    return (dv * dv + dt * dt) * 1e6;
-  };
-  const DbEntry* best = nullptr;
   double best_cost = std::numeric_limits<double>::infinity();
   std::uint32_t best_index = std::numeric_limits<std::uint32_t>::max();
+  bool best_detected = false;
   const auto scan = [&](const ConditionGroup& group, double group_cost) {
     for (std::size_t k = 0; k < group.entry_indices.size(); ++k) {
       const std::uint32_t i = group.entry_indices[k];
-      const DbEntry& e = entries_[i];
       const double dr = group.log_resistance[k] - log_r;
-      const double db = (e.vbd - vbd) * 10.0;
+      const double db = (group.vbd[k] - vbd) * 10.0;
       const double cost = group_cost + dr * dr + db * db;
       if (cost < best_cost || (cost == best_cost && i < best_index)) {
         best_cost = cost;
         best_index = i;
-        best = &e;
+        best_detected = group.detected[k];
       }
     }
   };
+  const auto answer = [&] {
+    require(best_index != std::numeric_limits<std::uint32_t>::max(),
+            "DetectabilityDb: no entries for this defect class");
+    return best_detected;
+  };
 
-  const std::vector<ConditionGroup>& groups = it->second.groups;
-  std::size_t nearest = 0;
-  double nearest_cost = condition_cost(groups[0]);
-  for (std::size_t g = 1; g < groups.size(); ++g) {
-    const double cost = condition_cost(groups[g]);
-    if (cost < nearest_cost) {
-      nearest = g;
-      nearest_cost = cost;
+  // A query on a group's own condition costs exactly 0 there (for a finite
+  // vdd and a finite positive period). Every other group costs at least the
+  // group's isolation, so a best cost below it is final; a tie must still
+  // scan the neighbour for a lower entry index.
+  std::size_t nearest = groups.size();  // the query's own group, if any
+  if (std::isfinite(vdd) && std::isfinite(period) && period > 0.0) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (groups[g].vdd == vdd && groups[g].period == period) {
+        nearest = g;
+        break;
+      }
     }
   }
-  scan(groups[nearest], nearest_cost);
+  if (nearest < groups.size()) {
+    scan(groups[nearest], 0.0);
+    if (best_cost < groups[nearest].isolation) return answer();
+  }
+
+  const double log_p = std::log(period);
+  if (nearest == groups.size()) {
+    nearest = 0;
+    double nearest_cost = condition_cost(groups[0], vdd, log_p);
+    for (std::size_t g = 1; g < groups.size(); ++g) {
+      const double cost = condition_cost(groups[g], vdd, log_p);
+      if (cost < nearest_cost) {
+        nearest = g;
+        nearest_cost = cost;
+      }
+    }
+    scan(groups[nearest], nearest_cost);
+  }
   for (std::size_t g = 0; g < groups.size(); ++g) {
     if (g == nearest) continue;
-    const double cost = condition_cost(groups[g]);
+    const double cost = condition_cost(groups[g], vdd, log_p);
     if (cost > best_cost) continue;
     scan(groups[g], cost);
   }
-  require(best != nullptr, "DetectabilityDb: no entries for this defect class");
-  return best->detected;
+  return answer();
+}
+
+bool DetectabilityDb::detected(DefectKind kind, int category, double resistance,
+                               double vdd, double period, double vbd) const {
+  count_lookups(1);
+  return bucket(kind, category).detected(std::log(resistance), vbd, vdd,
+                                         period);
 }
 
 bool DetectabilityDb::detected(const Defect& defect,
                                const sram::StressPoint& at) const {
-  int category = 0;
-  switch (defect.kind) {
-    case DefectKind::Bridge:
-      category = static_cast<int>(defect.bridge_category);
-      break;
-    case DefectKind::Open:
-      category = static_cast<int>(defect.open_category);
-      break;
-    case DefectKind::Mtj:
-      category = static_cast<int>(defect.mtj_category);
-      break;
-  }
-  return detected(defect.kind, category, defect.resistance, at.vdd, at.period,
-                  defect.breakdown_v);
+  return detected(defect.kind, category_of(defect), defect.resistance, at.vdd,
+                  at.period, defect.breakdown_v);
+}
+
+std::uint32_t DetectabilityDb::detected_mask(
+    const Defect& defect, std::span<const sram::StressPoint> at) const {
+  require(at.size() <= 32,
+          "DetectabilityDb::detected_mask: at most 32 conditions");
+  count_lookups(static_cast<long long>(at.size()));
+  const Bucket& b = bucket(defect.kind, category_of(defect));
+  const double log_r = std::log(defect.resistance);
+  std::uint32_t mask = 0;
+  for (std::size_t i = 0; i < at.size(); ++i)
+    if (b.detected(log_r, defect.breakdown_v, at[i].vdd, at[i].period))
+      mask |= std::uint32_t{1} << i;
+  return mask;
 }
 
 std::vector<sram::StressPoint> DetectabilityDb::conditions() const {
@@ -581,12 +657,18 @@ std::vector<PointVerdict> characterize_range(const CharacterizeSpec& spec,
 CornerOutcomes corner_outcomes(const DetectabilityDb& db, const Defect& defect,
                                double vlv_period, double production_period,
                                double fast_period) {
+  const sram::StressPoint corners[] = {{1.0, vlv_period},
+                                       {1.65, production_period},
+                                       {1.8, production_period},
+                                       {1.95, production_period},
+                                       {1.8, fast_period}};
+  const std::uint32_t mask = db.detected_mask(defect, corners);
   CornerOutcomes out;
-  out.vlv = db.detected(defect, {1.0, vlv_period});
-  out.vmin = db.detected(defect, {1.65, production_period});
-  out.vnom = db.detected(defect, {1.8, production_period});
-  out.vmax = db.detected(defect, {1.95, production_period});
-  out.at_speed = db.detected(defect, {1.8, fast_period});
+  out.vlv = mask & 1;
+  out.vmin = mask & 2;
+  out.vnom = mask & 4;
+  out.vmax = mask & 8;
+  out.at_speed = mask & 16;
   return out;
 }
 

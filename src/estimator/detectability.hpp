@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,18 +104,33 @@ class DetectabilityDb {
 
   /// Nearest-neighbour lookup: exact (kind, category) match, nearest
   /// condition, then nearest (log-resistance, breakdown-voltage) point.
-  /// Throws Error when no entry exists for the (kind, category) at all.
+  /// Throws Error when no entry exists for the (kind, category) at all, or
+  /// when no entry's cost compares (NaN input makes every cost NaN).
   ///
   /// Served from the per-(kind, category) index the constructor built,
   /// bucketed by stress condition — O(bucket) instead of O(entries) — and
   /// guaranteed to return exactly what a linear scan over `entries()` would.
-  /// The index caches each entry's log-resistance. A lookup scans the
-  /// condition group nearest the query first, then skips every other group
-  /// whose condition cost alone exceeds the best match found; it allocates
-  /// nothing and takes no lock.
+  /// Each condition group keeps its entries' log-resistance, breakdown
+  /// voltage and verdict in arrays of its own. A query whose (vdd, period)
+  /// equals a group's (`==`) scans that group first, at condition cost 0,
+  /// and stops there when its best cost is below the group's isolation (the
+  /// lowest condition cost to any other group of the bucket), since no
+  /// other entry can then win or tie. Any other query scans the condition
+  /// group nearest it first, then skips every other group whose condition
+  /// cost alone exceeds the best match found. A lookup allocates nothing and
+  /// takes no lock. Each call adds 1 to `estimator.db_lookups`.
   bool detected(defects::DefectKind kind, int category, double resistance,
                 double vdd, double period, double vbd = 0.0) const;
   bool detected(const defects::Defect& defect, const sram::StressPoint& at) const;
+
+  /// One defect at up to 32 conditions: bit i is detected(defect, at[i]).
+  /// Finds the (kind, category) bucket and takes log(resistance) once, then
+  /// runs the per-condition lookup above for each condition. Adds
+  /// at.size() to `estimator.db_lookups`: the counter counts one lookup per
+  /// (defect, condition). Throws Error as detected() does, and for more
+  /// than 32 conditions.
+  std::uint32_t detected_mask(const defects::Defect& defect,
+                              std::span<const sram::StressPoint> at) const;
 
   /// All distinct stress conditions present in the database, sorted by
   /// (vdd, period).
@@ -135,18 +151,31 @@ class DetectabilityDb {
 
  private:
   /// Entries for one exact (vdd, period) stress condition within a bucket,
-  /// kept in insertion order so tie-breaking matches the linear scan.
+  /// kept in insertion order so tie-breaking matches the linear scan. The
+  /// four arrays run parallel, one element per entry, so a scan never reads
+  /// entries_.
   struct ConditionGroup {
     double vdd = 0.0;
     double period = 0.0;
     double log_period = 0.0;  ///< cached std::log(period)
+    /// Lowest condition cost from this group's (vdd, period) to any other
+    /// group of its bucket; infinity for a bucket's only group.
+    double isolation = 0.0;
     std::vector<std::uint32_t> entry_indices;
-    /// Cached std::log(resistance), parallel to entry_indices.
-    std::vector<double> log_resistance;
+    std::vector<double> log_resistance;  ///< cached std::log(resistance)
+    std::vector<double> vbd;
+    std::vector<std::uint8_t> detected;
   };
   struct Bucket {
     std::vector<ConditionGroup> groups;
+
+    /// The per-condition lookup every public one runs, with the defect's
+    /// log(resistance) already taken.
+    bool detected(double log_r, double vbd, double vdd, double period) const;
   };
+
+  /// The (kind, category) bucket; throws Error when there is none.
+  const Bucket& bucket(defects::DefectKind kind, int category) const;
 
   std::vector<DbEntry> entries_;
   std::vector<QuarantineEntry> quarantine_;

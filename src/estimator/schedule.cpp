@@ -37,8 +37,8 @@ namespace {
 
 /// Escapes per leg subset: entry S counts the sampled defects that no leg in
 /// bitmask S (bit i = legs[i]) catches. The spec.monte_carlo_defects defects
-/// are drawn once from Rng(spec.seed), and each is looked up once per leg
-/// into a mask of the legs that catch it. A subset-sum transform over the
+/// are drawn once from Rng(spec.seed), and one detected_mask call per defect
+/// gives the mask of the legs that catch it. A subset-sum transform over the
 /// histogram of those 2^k masks then counts, per subset, the defects whose
 /// mask lies inside the subset's complement: O(k * 2^k) after the draws,
 /// whatever the sample size.
@@ -48,15 +48,12 @@ std::vector<int> subset_escapes(const std::vector<TestLeg>& legs,
                                 const ScheduleSpec& spec) {
   require(spec.monte_carlo_defects > 0, "escape_fraction: need samples");
   const std::size_t k = legs.size();
+  std::vector<sram::StressPoint> conditions;
+  for (const TestLeg& leg : legs) conditions.push_back(leg.at);
   std::vector<int> within(std::size_t{1} << k, 0);
   Rng rng(spec.seed);
-  for (int i = 0; i < spec.monte_carlo_defects; ++i) {
-    const defects::Defect defect = sampler.sample(rng);
-    std::size_t caught = 0;
-    for (std::size_t leg = 0; leg < k; ++leg)
-      if (db.detected(defect, legs[leg].at)) caught |= std::size_t{1} << leg;
-    ++within[caught];
-  }
+  for (int i = 0; i < spec.monte_carlo_defects; ++i)
+    ++within[db.detected_mask(sampler.sample(rng), conditions)];
   // within[S] becomes the number of defects whose mask is a subset of S.
   for (std::size_t bit = 0; bit < k; ++bit)
     for (std::size_t s = 0; s < within.size(); ++s)

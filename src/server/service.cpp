@@ -1,6 +1,7 @@
 #include "server/service.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <thread>
 
@@ -299,6 +300,12 @@ Json MemstressService::sleep_ms(const Json& params,
 
 namespace {
 
+/// The most defects a study_shard device may expect. The paper's chip
+/// expects about 0.1 and the densest benchmark study 0.37; a device
+/// expecting more is no physical chip. At 2^40 bits per instance a device
+/// expects 9e7, and each one would draw that many defects.
+constexpr double kMaxExpectedDefects = 100.0;
+
 /// Validate the "begin"/"end" fields of a shard request against the size of
 /// the sharded domain. Both must be non-negative integers with
 /// begin <= end <= limit; anything else is a structured bad_request.
@@ -367,6 +374,14 @@ Json MemstressService::study_shard(const Json& params,
   require_technology(params);
   study::StudyConfig config = study_config_from_json(params.at("config"));
   config.cancel = context.cancel;
+  const double lambda = sampler_.fab().expected_defects(config.chip_area_um2());
+  if (!(lambda <= kMaxExpectedDefects)) {
+    char message[96];
+    std::snprintf(message, sizeof message,
+                  "the config expects %.3g defects per device; at most %g",
+                  lambda, kMaxExpectedDefects);
+    throw ProtocolError(message);
+  }
   const std::string expected = params.string_or("db_crc", "");
   if (!expected.empty() && expected != db_crc_)
     throw ProtocolError("database mismatch: this worker serves db_crc " +

@@ -104,7 +104,8 @@ class MemstressService {
   /// outcome masks. params carries "config"/"begin"/"end" and optionally
   /// "db_crc" — the CRC32 of the coordinator's DetectabilityDb CSV; a
   /// mismatch is a bad_request, catching a worker loaded with the wrong
-  /// database before it silently skews the tallies.
+  /// database before it silently skews the tallies. So is a config whose
+  /// device expects more than 100 defects (or a non-finite number).
   Json study_shard(const Json& params, const RequestContext& context) const;
   /// Test/diagnostic helper: sleeps up to params.ms milliseconds in small
   /// slices, stopping early at cancellation or the deadline. Exists so the

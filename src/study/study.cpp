@@ -56,32 +56,25 @@ std::string StudyResult::summary() const {
   return out.str();
 }
 
-DeviceOutcome evaluate_device(const std::vector<Defect>& defect_list,
-                              const StudyConfig& config,
-                              const estimator::DetectabilityDb& db) {
-  DeviceOutcome outcome;
-  outcome.defect_count = static_cast<int>(defect_list.size());
-  for (const Defect& defect : defect_list) {
-    // Standard production test: Vmin / Vnom at the production rate. The
-    // paper's Venn treats VLV, Vmax and at-speed as the *stress* screens
-    // that interesting devices fail after passing the standard test.
-    const bool std_fail = db.detected(defect, {1.65, config.slow_period}) ||
-                          db.detected(defect, {1.8, config.slow_period});
-    outcome.standard_fail = outcome.standard_fail || std_fail;
-    outcome.vlv_fail =
-        outcome.vlv_fail || db.detected(defect, {1.0, config.vlv_period});
-    outcome.vmax_fail =
-        outcome.vmax_fail || db.detected(defect, {1.95, config.slow_period});
-    outcome.atspeed_fail =
-        outcome.atspeed_fail || db.detected(defect, {1.8, config.fast_period});
-  }
-  outcome.escape = outcome.defect_count > 0 && !outcome.standard_fail &&
-                   !outcome.vlv_fail && !outcome.vmax_fail &&
-                   !outcome.atspeed_fail;
-  return outcome;
-}
-
 namespace {
+
+/// Fold one defect's verdicts at the five stress corners into its device's
+/// outcome. The standard production test is Vmin / Vnom at the production
+/// rate; the paper's Venn treats VLV, Vmax and at-speed as the *stress*
+/// screens that interesting devices fail after passing it.
+void add_defect(DeviceOutcome& outcome, const Defect& defect,
+                const StudyConfig& config,
+                const estimator::DetectabilityDb& db) {
+  const estimator::CornerOutcomes caught = estimator::corner_outcomes(
+      db, defect, config.vlv_period, config.slow_period, config.fast_period);
+  ++outcome.defect_count;
+  outcome.standard_fail = outcome.standard_fail || caught.standard();
+  outcome.vlv_fail = outcome.vlv_fail || caught.vlv;
+  outcome.vmax_fail = outcome.vmax_fail || caught.vmax;
+  outcome.atspeed_fail = outcome.atspeed_fail || caught.at_speed;
+  outcome.escape = !outcome.standard_fail && !outcome.vlv_fail &&
+                   !outcome.vmax_fail && !outcome.atspeed_fail;
+}
 
 /// Outcome-mask bits: a device's one-byte record code, its checkpoint row
 /// and its study_shard wire value.
@@ -95,8 +88,10 @@ enum : int {
   kInteresting = 64,
 };
 
-/// Draw and evaluate one device from its child stream. Counter updates are
-/// order-free atomic sums, identical at any thread count or shard layout.
+/// Draw and evaluate one device from its child stream. Each defect is
+/// looked up as it is drawn; a lookup draws nothing from the stream. Counter
+/// updates are order-free atomic sums, identical at any thread count or
+/// shard layout.
 int evaluate_one(std::uint64_t seed, double lambda, const StudyConfig& config,
                  const estimator::DetectabilityDb& db,
                  const defects::DefectSampler& sampler) {
@@ -108,10 +103,9 @@ int evaluate_one(std::uint64_t seed, double lambda, const StudyConfig& config,
       metrics::counter("study.defective_devices");
   defects_counter.add(n);
   defective_counter.add(1);
-  std::vector<Defect> defect_list;
-  defect_list.reserve(n);
-  for (unsigned i = 0; i < n; ++i) defect_list.push_back(sampler.sample(rng));
-  const DeviceOutcome o = evaluate_device(defect_list, config, db);
+  DeviceOutcome o;
+  for (unsigned i = 0; i < n; ++i)
+    add_defect(o, sampler.sample(rng), config, db);
   return kDefective | (o.standard_fail ? kStandardFail : 0) |
          (o.escape ? kEscape : 0) | (o.vlv_fail ? kVlvFail : 0) |
          (o.vmax_fail ? kVmaxFail : 0) | (o.atspeed_fail ? kAtspeedFail : 0) |
@@ -162,6 +156,15 @@ void evaluate_range(const StudyConfig& config,
 }
 
 }  // namespace
+
+DeviceOutcome evaluate_device(const std::vector<Defect>& defect_list,
+                              const StudyConfig& config,
+                              const estimator::DetectabilityDb& db) {
+  DeviceOutcome outcome;
+  for (const Defect& defect : defect_list)
+    add_defect(outcome, defect, config, db);
+  return outcome;
+}
 
 StudyResult run_study(const StudyConfig& config,
                       const estimator::DetectabilityDb& db,

@@ -19,6 +19,57 @@ namespace {
 /// Chunks per thread over a whole range (the grain rule in parallel.hpp).
 constexpr std::size_t kChunksPerThread = 64;
 
+/// What the threads of one call share. It lives in the caller's frame, and
+/// the caller writes the stack below it for every task it runs. On cache
+/// lines of its own, with everything else a task needs passed to claim_loop
+/// by value, no such write lands on a line another thread reads per index.
+/// Such a line would cost every worker a miss per task, and only in the
+/// processes whose stack happens to start where the two meet.
+struct alignas(64) Claims {
+  std::atomic<std::size_t> cursor{0};
+  // Tripped on the first body exception (or a failed spawn). It stops
+  // claims, and it stops claimed-but-unstarted tasks from executing, which
+  // bounds post-failure work to at most one task per thread.
+  std::atomic<bool> abandon{false};
+  // Set when a thread observed an external cancellation request.
+  std::atomic<bool> saw_cancel{false};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+};
+
+/// The claim loop every thread runs, the caller included. The range, grain,
+/// body and token come in as arguments, so each thread reads them from its
+/// own frame. Claiming before the cancel check means an empty range never
+/// throws, even when a token has already tripped. Every index of a chunk
+/// checks the abandon flag and both tokens before it runs, as if it had
+/// been claimed alone.
+void claim_loop(Claims& claims, std::size_t count, std::size_t grain,
+                const std::function<void(std::size_t)>& body,
+                const CancelToken* cancel) {
+  for (;;) {
+    if (claims.abandon.load(std::memory_order_relaxed)) return;
+    const std::size_t first =
+        claims.cursor.fetch_add(grain, std::memory_order_relaxed);
+    if (first >= count) return;
+    const std::size_t last = first + std::min(grain, count - first);
+    for (std::size_t i = first; i < last; ++i) {
+      if (claims.abandon.load(std::memory_order_relaxed)) return;
+      if (cancel::requested(cancel)) {
+        claims.saw_cancel.store(true, std::memory_order_relaxed);
+        return;
+      }
+      try {
+        body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(claims.error_mutex);
+        if (!claims.error) claims.error = std::current_exception();
+        claims.abandon.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int default_thread_count() {
@@ -43,57 +94,21 @@ void parallel_for(std::size_t count,
       static_cast<std::size_t>(resolve_thread_count(threads));
   const std::size_t grain =
       std::max<std::size_t>(1, count / (thread_count * kChunksPerThread));
-  std::atomic<std::size_t> cursor{0};
-  // Tripped on the first body exception (or a failed spawn). It stops
-  // claims, and it stops claimed-but-unstarted tasks from executing, which
-  // bounds post-failure work to at most one task per thread.
-  std::atomic<bool> abandon{false};
-  // Set when a thread observed an external cancellation request.
-  std::atomic<bool> saw_cancel{false};
-  std::mutex error_mutex;
-  std::exception_ptr error;
-
-  // The claim loop every thread runs, the caller included. Claiming before
-  // the cancel check means an empty range never throws, even when a token
-  // has already tripped. Every index of a chunk checks the abandon flag and
-  // both tokens before it runs, as if it had been claimed alone.
-  const auto claim_loop = [&] {
-    for (;;) {
-      if (abandon.load(std::memory_order_relaxed)) return;
-      const std::size_t first =
-          cursor.fetch_add(grain, std::memory_order_relaxed);
-      if (first >= count) return;
-      const std::size_t last = first + std::min(grain, count - first);
-      for (std::size_t i = first; i < last; ++i) {
-        if (abandon.load(std::memory_order_relaxed)) return;
-        if (cancel::requested(cancel)) {
-          saw_cancel.store(true, std::memory_order_relaxed);
-          return;
-        }
-        try {
-          body(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-          abandon.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
-  };
+  Claims claims;
 
   // The caller is one of the threads, and no thread starts without a task.
   const std::size_t worker_count =
       count > 1 ? std::min(thread_count, count) - 1 : 0;
   if (worker_count == 0) {
-    claim_loop();
+    claim_loop(claims, count, grain, body, cancel);
   } else {
     // Every thread adopts the caller's span, so task spans nest under it
     // as fan-out nodes.
     void* const span_context = trace::current_context();
-    const auto traced_loop = [&] {
+    const auto traced_loop = [&claims, count, grain, &body, cancel,
+                              span_context] {
       trace::ContextGuard span_guard(span_context);
-      claim_loop();
+      claim_loop(claims, count, grain, body, cancel);
     };
     std::vector<std::thread> workers;
     workers.reserve(worker_count);
@@ -101,7 +116,7 @@ void parallel_for(std::size_t count,
       for (std::size_t t = 0; t < worker_count; ++t)
         workers.emplace_back(traced_loop);
     } catch (...) {
-      abandon.store(true, std::memory_order_relaxed);
+      claims.abandon.store(true, std::memory_order_relaxed);
       for (std::thread& worker : workers) worker.join();
       throw;
     }
@@ -109,8 +124,8 @@ void parallel_for(std::size_t count,
     for (std::thread& worker : workers) worker.join();
   }
 
-  if (error) std::rethrow_exception(error);
-  if (saw_cancel.load(std::memory_order_relaxed)) {
+  if (claims.error) std::rethrow_exception(claims.error);
+  if (claims.saw_cancel.load(std::memory_order_relaxed)) {
     static metrics::Counter& cancelled =
         metrics::counter("parallel.cancelled_jobs");
     cancelled.add(1);

@@ -82,7 +82,11 @@ unsigned Rng::poisson(double mean) {
   if (mean > 64.0) {
     // Normal approximation; adequate for the large-population studies here.
     const double draw = normal(mean, std::sqrt(mean));
-    return draw <= 0.0 ? 0u : static_cast<unsigned>(draw + 0.5);
+    if (draw <= 0.0) return 0u;
+    // Past 2^32 (or for an infinite mean) the cast would be undefined.
+    require(draw + 0.5 < 4294967296.0,
+            "Rng::poisson: the mean is too large for an unsigned count");
+    return static_cast<unsigned>(draw + 0.5);
   }
   const double threshold = std::exp(-mean);
   unsigned count = 0;

@@ -52,7 +52,8 @@ class Rng {
   bool chance(double p);
 
   /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64).
+  /// normal approximation above 64). Throws Error for a negative mean and
+  /// for a draw that does not fit `unsigned` (a mean near 2^32 or above).
   unsigned poisson(double mean);
 
   /// Pick an index in [0, weights.size()) with probability proportional to

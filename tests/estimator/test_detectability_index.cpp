@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace memstress::estimator {
@@ -42,9 +45,14 @@ bool reference_detected(const DetectabilityDb& db, DefectKind kind,
   return best->detected;
 }
 
-DetectabilityDb random_db(Rng& rng, int entry_count) {
-  const double vdds[] = {1.0, 1.65, 1.8, 1.95};
-  const double periods[] = {100e-9, 25e-9, 15e-9};
+const double kVdds[] = {1.0, 1.65, 1.8, 1.95};
+/// Conditions 1 mV apart: a group's isolation (400 at 1 mV) is then below
+/// most in-group costs, so exact-condition queries fall through to the walk.
+const double kCloseVdds[] = {1.8, 1.801, 1.802, 1.803};
+const double kPeriods[] = {100e-9, 25e-9, 15e-9};
+
+DetectabilityDb random_db(Rng& rng, int entry_count,
+                          const double (&vdds)[4] = kVdds) {
   std::vector<DbEntry> entries;
   for (int i = 0; i < entry_count; ++i) {
     DbEntry e;
@@ -53,7 +61,7 @@ DetectabilityDb random_db(Rng& rng, int entry_count) {
     e.resistance = rng.log_uniform(10.0, 1e8);
     e.vbd = rng.chance(0.3) ? rng.uniform(0.8, 2.6) : 0.0;
     e.vdd = vdds[rng.below(4)];
-    e.period = periods[rng.below(3)];
+    e.period = kPeriods[rng.below(3)];
     e.detected = rng.chance(0.5);
     entries.push_back(e);
   }
@@ -141,6 +149,175 @@ TEST(DetectabilityIndex, EquidistantGroupsKeepLowestEntryTieBreak) {
             reference_detected(db, DefectKind::Bridge, 0, 1e4, 2.0, 25e-9));
 }
 
+defects::Defect make_defect(DefectKind kind, int category, double resistance,
+                            double vbd) {
+  defects::Defect defect;
+  defect.kind = kind;
+  defect.bridge_category = static_cast<layout::BridgeCategory>(category);
+  defect.open_category = static_cast<layout::OpenCategory>(category);
+  defect.resistance = resistance;
+  defect.breakdown_v = vbd;
+  return defect;
+}
+
+TEST(DetectabilityIndex, MaskMatchesPerConditionReference) {
+  Rng rng(31);
+  for (int round = 0; round < 20; ++round) {
+    const DetectabilityDb db =
+        random_db(rng, 200, round % 2 == 0 ? kVdds : kCloseVdds);
+    for (int q = 0; q < 100; ++q) {
+      const DbEntry& probe = db.entries()[rng.below(db.size())];
+      const double r =
+          rng.chance(0.3) ? probe.resistance : rng.log_uniform(10.0, 1e8);
+      const double vbd = rng.chance(0.5) ? probe.vbd : rng.uniform(0.0, 2.6);
+      const defects::Defect defect =
+          make_defect(probe.kind, probe.category, r, vbd);
+      // 1..16 conditions, on the grid (exact-condition path) or off it.
+      std::vector<sram::StressPoint> at(1 + rng.below(16));
+      for (sram::StressPoint& point : at) {
+        const DbEntry& on = db.entries()[rng.below(db.size())];
+        point = rng.chance(0.6) ? sram::StressPoint{on.vdd, on.period}
+                                : sram::StressPoint{
+                                      rng.uniform(0.9, 2.0),
+                                      rng.log_uniform(10e-9, 200e-9)};
+      }
+      const std::uint32_t mask = db.detected_mask(defect, at);
+      for (std::size_t i = 0; i < at.size(); ++i) {
+        const bool expected =
+            reference_detected(db, probe.kind, probe.category, r, at[i].vdd,
+                               at[i].period, vbd);
+        EXPECT_EQ(((mask >> i) & 1) != 0, expected)
+            << "round=" << round << " q=" << q << " condition " << i;
+        EXPECT_EQ(db.detected(defect, at[i]), expected);
+      }
+      EXPECT_EQ(mask >> at.size(), 0u);
+    }
+  }
+}
+
+TEST(DetectabilityIndex, MaskCountsOneLookupPerCondition) {
+  const bool ambient = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::Counter& lookups = metrics::counter("estimator.db_lookups");
+  Rng rng(5);
+  const DetectabilityDb db = random_db(rng, 100);
+  const DbEntry& probe = db.entries()[0];
+  const defects::Defect defect =
+      make_defect(probe.kind, probe.category, probe.resistance, probe.vbd);
+  const std::vector<sram::StressPoint> at(7, {probe.vdd, probe.period});
+  const long long before = lookups.value();
+  (void)db.detected_mask(defect, at);
+  EXPECT_EQ(lookups.value() - before, 7);
+  EXPECT_THROW(
+      db.detected_mask(defect, std::vector<sram::StressPoint>(33, at[0])),
+      Error);
+  metrics::set_enabled(ambient);
+}
+
+/// Two groups 2^-10 V (about 1 mV) apart at one period, entries at one
+/// resistance: a query on the 1.5 V group costs an entry there exactly
+/// (10 x vbd)^2, and an entry of the neighbour group exactly the 1.5 V
+/// group's isolation, 381.4697265625; every step of both sums is exact in
+/// binary.
+struct CloseGroups {
+  static constexpr double kVdd = 1.5;
+  static constexpr double kNeighbourVdd = 1.5 + 1.0 / 1024;
+  static constexpr double kPeriod = 25e-9;
+  static constexpr double kResistance = 1e4;
+
+  static DbEntry entry(double vdd, double vbd, bool detected) {
+    DbEntry e;
+    e.kind = DefectKind::Bridge;
+    e.category = 2;
+    e.resistance = kResistance;
+    e.vbd = vbd;
+    e.vdd = vdd;
+    e.period = kPeriod;
+    e.detected = detected;
+    return e;
+  }
+  /// The condition cost a query at kVdd computes for the neighbour group.
+  static double isolation() {
+    const double dv = (kNeighbourVdd - kVdd) / 0.05;
+    const double dt = 0.0 / 0.05;
+    return (dv * dv + dt * dt) * 1e6;
+  }
+  static double in_group_cost(double vbd) {
+    const double db = (vbd - 0.0) * 10.0;
+    return 0.0 + 0.0 * 0.0 + db * db;
+  }
+};
+
+TEST(DetectabilityIndex, ExactQueryTiedAtIsolationScansTheNeighbour) {
+  // The in-group best costs exactly the isolation, so the neighbour's entry
+  // ties it; the neighbour's lower entry index must win, which only a scan
+  // of the neighbour finds (an early exit on <= would answer false).
+  const double vbd = 1.953125;  // 10 x vbd = 19.53125, squared 381.4697...
+  ASSERT_EQ(CloseGroups::in_group_cost(vbd), CloseGroups::isolation());
+  const DetectabilityDb db({CloseGroups::entry(CloseGroups::kNeighbourVdd, 0.0,
+                                               true),  // entry 0
+                            CloseGroups::entry(CloseGroups::kVdd, vbd,
+                                               false)});  // entry 1
+  const defects::Defect defect = make_defect(DefectKind::Bridge, 2,
+                                             CloseGroups::kResistance, 0.0);
+  const sram::StressPoint at{CloseGroups::kVdd, CloseGroups::kPeriod};
+  EXPECT_TRUE(db.detected(defect, at));
+  EXPECT_EQ(db.detected_mask(defect, std::span(&at, 1)), 1u);
+  EXPECT_TRUE(reference_detected(db, DefectKind::Bridge, 2,
+                                 CloseGroups::kResistance, at.vdd, at.period));
+}
+
+TEST(DetectabilityIndex, ExactQueryFartherThanIsolationTakesTheNeighbour) {
+  // The in-group entry (entry 0) costs 676 at the query's own condition; the
+  // neighbour group 1 mV away holds an entry at 381.47, which must win.
+  const double vbd = 2.6;
+  ASSERT_GT(CloseGroups::in_group_cost(vbd), CloseGroups::isolation());
+  const DetectabilityDb db(
+      {CloseGroups::entry(CloseGroups::kVdd, vbd, false),
+       CloseGroups::entry(CloseGroups::kNeighbourVdd, 0.0, true)});
+  const defects::Defect defect = make_defect(DefectKind::Bridge, 2,
+                                             CloseGroups::kResistance, 0.0);
+  const sram::StressPoint at{CloseGroups::kVdd, CloseGroups::kPeriod};
+  EXPECT_TRUE(db.detected(defect, at));
+  EXPECT_EQ(db.detected_mask(defect, std::span(&at, 1)), 1u);
+  EXPECT_TRUE(reference_detected(db, DefectKind::Bridge, 2,
+                                 CloseGroups::kResistance, at.vdd, at.period));
+  // Alone in its bucket, the same entry answers for itself.
+  const DetectabilityDb alone(
+      {CloseGroups::entry(CloseGroups::kVdd, vbd, false)});
+  EXPECT_FALSE(alone.detected(defect, at));
+}
+
+TEST(DetectabilityIndex, NanCostsThrowOnTheExactPathToo) {
+  const DetectabilityDb db({CloseGroups::entry(CloseGroups::kVdd, 0.0, true)});
+  const sram::StressPoint at{CloseGroups::kVdd, CloseGroups::kPeriod};
+  EXPECT_THROW(db.detected(make_defect(DefectKind::Bridge, 2, std::nan(""),
+                                       0.0),
+                           at),
+               Error);
+  EXPECT_THROW(db.detected_mask(make_defect(DefectKind::Bridge, 2,
+                                            CloseGroups::kResistance,
+                                            std::nan("")),
+                                std::span(&at, 1)),
+               Error);
+  // A condition whose cost to itself is NaN (an infinite vdd, a zero
+  // period) matches no entry in the linear scan, even queried exactly.
+  for (const sram::StressPoint odd :
+       {sram::StressPoint{std::numeric_limits<double>::infinity(), 25e-9},
+        sram::StressPoint{1.8, 0.0}}) {
+    DbEntry e = CloseGroups::entry(odd.vdd, 0.0, true);
+    e.period = odd.period;
+    const DetectabilityDb alone({e});
+    EXPECT_THROW(reference_detected(alone, DefectKind::Bridge, 2,
+                                    CloseGroups::kResistance, odd.vdd,
+                                    odd.period),
+                 Error);
+    EXPECT_THROW(alone.detected(DefectKind::Bridge, 2,
+                                CloseGroups::kResistance, odd.vdd, odd.period),
+                 Error);
+  }
+}
+
 TEST(DetectabilityIndex, CopiesAndMovesRebuildCleanly) {
   Rng rng(7);
   DetectabilityDb original = random_db(rng, 100);
@@ -166,8 +343,9 @@ TEST(DetectabilityIndex, CopiesAndMovesRebuildCleanly) {
 }
 
 TEST(DetectabilityIndex, FreshSharedDbAnswersManyThreads) {
-  // Eight threads race their first lookups on one const database that has
-  // never been queried: every answer must match the linear reference.
+  // Eight threads race their first lookups, single and five-corner, on one
+  // const database that has never been queried: every answer must match
+  // the linear reference.
   Rng rng(23);
   const DetectabilityDb db = random_db(rng, 400);
   struct Query {
@@ -186,6 +364,18 @@ TEST(DetectabilityIndex, FreshSharedDbAnswersManyThreads) {
   for (const Query& q : queries)
     expected.push_back(reference_detected(db, q.kind, q.category, q.resistance,
                                           q.vdd, q.period, q.vbd));
+  // Each query's defect also asks one mask over the five standard corners.
+  const sram::StressPoint corners[] = {
+      {1.0, 100e-9}, {1.65, 25e-9}, {1.8, 25e-9}, {1.95, 25e-9}, {1.8, 15e-9}};
+  std::vector<std::uint32_t> expected_masks;
+  for (const Query& q : queries) {
+    std::uint32_t mask = 0;
+    for (std::size_t c = 0; c < 5; ++c)
+      if (reference_detected(db, q.kind, q.category, q.resistance,
+                             corners[c].vdd, corners[c].period, q.vbd))
+        mask |= std::uint32_t{1} << c;
+    expected_masks.push_back(mask);
+  }
 
   constexpr int kThreads = 8;
   std::vector<int> mismatches(kThreads, 0);
@@ -198,6 +388,10 @@ TEST(DetectabilityIndex, FreshSharedDbAnswersManyThreads) {
         const Query& q = queries[i];
         if (db.detected(q.kind, q.category, q.resistance, q.vdd, q.period,
                         q.vbd) != expected[i])
+          ++mismatches[t];
+        if (db.detected_mask(make_defect(q.kind, q.category, q.resistance,
+                                         q.vbd),
+                             corners) != expected_masks[i])
           ++mismatches[t];
       }
     });

@@ -11,7 +11,9 @@
 // its kernel counters are pinned at zero. The yield path's DB lookups,
 // sampled defects, defective devices and parallel_for tasks are pinned the
 // same way: they change only when the study or the schedule search changes
-// what it looks up or draws.
+// what it looks up or draws. Every sampled defect costs five lookups, one
+// per stress corner, even when Vmin already caught it: the study's 935
+// defects x 5 plus the trade-off curve's 500 x 5 make 7175.
 //
 // The constants were harvested from a clean build by running this binary
 // with MEMSTRESS_GOLDEN_DUMP=1, which prints the counts (and skips the
@@ -196,7 +198,7 @@ TEST(GoldenOpCounts, ExactCountsArePinnedAtOneAndFourThreads) {
 TEST(GoldenOpCounts, YieldPathCountsArePinnedAtOneAndFourThreads) {
   // clang-format off
   expect_pinned("yield path", {
-      {"estimator.db_lookups", 6607},
+      {"estimator.db_lookups", 7175},
       {"parallel.tasks", 2000},
       {"study.defective_devices", 742},
       {"study.defects", 935},

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "server/client.hpp"
+#include "server/shard_codec.hpp"
 #include "server_test_util.hpp"
 #include "util/cancel.hpp"
 #include "util/chaos.hpp"
@@ -197,6 +198,37 @@ TEST(ServerLoopback, MonteCarloDefectsDoNotWrap) {
   }
   EXPECT_NO_THROW(client.request(
       "schedule", Json::parse("{\"monte_carlo_defects\":5}")));
+}
+
+TEST(ServerLoopback, StudyShardBoundsExpectedDefects) {
+  // At 1e300 um^2 per cell a device expects 8.4e298 defects: the Poisson
+  // draw once went through an undefined cast and every device came back
+  // defect-free, and 2^40 bits per instance expected 9e7 defects, enough
+  // to exhaust memory. Both are refused before the study runs.
+  TestServer fixture;
+  Client client(fixture.client_config());
+  study::StudyConfig config;
+  config.device_count = 10;
+  config.threads = 1;
+  config.area_per_cell_um2 = 1e300;
+  Json params = Json::object();
+  params.set("config", study_config_to_json(config));
+  params.set("begin", Json(0));
+  params.set("end", Json(10));
+  try {
+    client.request("study_shard", params);
+    FAIL() << "a study expecting 8.4e298 defects per device was answered";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.code(), "bad_request");
+    EXPECT_NE(std::string(e.what()).find("defects per device"),
+              std::string::npos)
+        << e.what();
+  }
+  // A physical chip is still answered, and on the same connection.
+  config.area_per_cell_um2 = 1.1;
+  params.set("config", study_config_to_json(config));
+  EXPECT_EQ(client.request("study_shard", params).at("masks").items().size(),
+            10u);
 }
 
 TEST(ServerLoopback, OversizedFrameAnswersThenCloses) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -124,6 +125,17 @@ TEST(Rng, PoissonMatchesMeanLarge) {
 TEST(Rng, PoissonZeroMeanIsAlwaysZero) {
   Rng rng(19);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.poisson(0.0), 0u);
+}
+
+TEST(Rng, PoissonThrowsForADrawPastUnsigned) {
+  // A draw past 2^32 once went through an undefined cast to unsigned; a
+  // served study with 1e300 um^2 per cell came back defect-free.
+  Rng rng(20);
+  for (const double mean : {8.4e298, 1e12, 4.5e9,
+                            std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(rng.poisson(mean), Error) << mean;
+  // The largest means that fit still draw.
+  EXPECT_NEAR(rng.poisson(1e9), 1e9, 1e6);
 }
 
 TEST(Rng, WeightedIndexFollowsWeights) {
