@@ -48,8 +48,20 @@ DefectSampler::DefectSampler(SitePopulation population, FabModel fab,
   });
   require(!population_.bridges.empty() || !population_.opens.empty(),
           "DefectSampler: empty site population");
-  for (const auto& [cat, w] : population_.bridges) bridge_weights_.push_back(w);
-  for (const auto& [cat, w] : population_.opens) open_weights_.push_back(w);
+  for (const auto& [cat, w] : population_.bridges) {
+    bridge_weights_.push_back(w);
+    bridge_templates_.push_back(representative_bridge(cat, spec_, 0.0));
+  }
+  for (const auto& [cat, w] : population_.opens) {
+    open_weights_.push_back(w);
+    std::optional<Defect> representative;
+    try {
+      representative = representative_open(cat, spec_, 0.0);
+    } catch (const Error&) {
+      // No representative (Other): sample() throws when it is drawn.
+    }
+    open_templates_.push_back(std::move(representative));
+  }
 }
 
 DefectSampler::DefectSampler(MtjFabModel mtj, sram::BlockSpec spec)
@@ -58,31 +70,41 @@ DefectSampler::DefectSampler(MtjFabModel mtj, sram::BlockSpec spec)
               mtj_fab_.transition_fraction >= 0.0 &&
               mtj_fab_.retention_fraction + mtj_fab_.transition_fraction <= 1.0,
           "DefectSampler: MTJ category mix fractions out of range");
+  for (const MtjFaultCategory category : simulatable_mtj_categories(spec_))
+    mtj_templates_.push_back(representative_mtj(category, spec_, 0.0));
 }
 
 Defect DefectSampler::sample(Rng& rng) const {
   if (mtj_mode_) {
-    return representative_mtj(mtj_fab_.sample_category(rng), spec_,
-                              mtj_fab_.sample_resistance(rng));
+    // Resistance before category: the order every MTJ study was drawn in.
+    const double resistance = mtj_fab_.sample_resistance(rng);
+    Defect defect =
+        mtj_templates_[static_cast<std::size_t>(mtj_fab_.sample_category(rng))];
+    defect.resistance = resistance;
+    return defect;
   }
   const bool is_bridge =
       !bridge_weights_.empty() &&
       (open_weights_.empty() || rng.chance(fab_.bridge_fraction));
   if (is_bridge) {
     const std::size_t pick = rng.weighted_index(bridge_weights_);
-    const BridgeCategory category = population_.bridges[pick].first;
-    if (category == BridgeCategory::CellGateOxide) {
-      Defect defect = representative_bridge(category, spec_,
-                                            fab_.sample_gox_resistance(rng));
+    Defect defect = bridge_templates_[pick];
+    if (population_.bridges[pick].first == BridgeCategory::CellGateOxide) {
+      defect.resistance = fab_.sample_gox_resistance(rng);
       defect.breakdown_v = fab_.sample_gox_vbd(rng);
-      return defect;
+    } else {
+      defect.resistance = fab_.sample_bridge_resistance(rng);
     }
-    return representative_bridge(category, spec_,
-                                 fab_.sample_bridge_resistance(rng));
+    return defect;
   }
   const std::size_t pick = rng.weighted_index(open_weights_);
-  const OpenCategory category = population_.opens[pick].first;
-  return representative_open(category, spec_, fab_.sample_open_resistance(rng));
+  const double resistance = fab_.sample_open_resistance(rng);
+  if (!open_templates_[pick])
+    return representative_open(population_.opens[pick].first, spec_,
+                               resistance);  // throws
+  Defect defect = *open_templates_[pick];
+  defect.resistance = resistance;
+  return defect;
 }
 
 }  // namespace memstress::defects

@@ -3,6 +3,7 @@
 // distributions) to draw the defects of one simulated device.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "defects/defect.hpp"
@@ -27,7 +28,9 @@ SitePopulation aggregate_sites(const std::vector<layout::BridgeSite>& bridges,
 
 /// Draws defect kind, category and resistance. The sampled defect is
 /// expressed as the category's representative site on `spec`'s block, which
-/// is what both the analog path and the detectability DB consume.
+/// is what both the analog path and the detectability DB consume. The
+/// representatives are built once, with the sampler: a draw copies one and
+/// sets the parameters it drew.
 class DefectSampler {
  public:
   DefectSampler(SitePopulation population, FabModel fab, sram::BlockSpec spec);
@@ -50,6 +53,12 @@ class DefectSampler {
   sram::BlockSpec spec_;
   std::vector<double> bridge_weights_;
   std::vector<double> open_weights_;
+  /// The representative of each population entry, in population order.
+  /// Every bridge entry kept has one; an open category without one (Other)
+  /// has none and throws when drawn.
+  std::vector<Defect> bridge_templates_;
+  std::vector<std::optional<Defect>> open_templates_;
+  std::vector<Defect> mtj_templates_;  ///< indexed by MtjFaultCategory
   bool mtj_mode_ = false;
 };
 

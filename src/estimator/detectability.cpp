@@ -156,7 +156,10 @@ bool DetectabilityDb::Bucket::detected(double log_r, double vbd, double vdd,
       const double dr = group.log_resistance[k] - log_r;
       const double db = (group.vbd[k] - vbd) * 10.0;
       const double cost = group_cost + dr * dr + db * db;
-      if (cost < best_cost || (cost == best_cost && i < best_index)) {
+      // Equal finite costs go to the lower entry index. An infinite cost
+      // never wins, so a query no entry is finitely near throws.
+      if (cost < best_cost ||
+          (cost == best_cost && i < best_index && std::isfinite(cost))) {
         best_cost = cost;
         best_index = i;
         best_detected = group.detected[k];

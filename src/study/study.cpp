@@ -1,6 +1,7 @@
 #include "study/study.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
@@ -92,11 +93,12 @@ enum : int {
 /// looked up as it is drawn; a lookup draws nothing from the stream. Counter
 /// updates are order-free atomic sums, identical at any thread count or
 /// shard layout.
-int evaluate_one(std::uint64_t seed, double lambda, const StudyConfig& config,
+int evaluate_one(std::uint64_t seed, const PoissonDraw& defects_per_device,
+                 const StudyConfig& config,
                  const estimator::DetectabilityDb& db,
                  const defects::DefectSampler& sampler) {
   Rng rng(seed);
-  const unsigned n = rng.poisson(lambda);
+  const unsigned n = defects_per_device(rng);
   if (n == 0) return 0;
   static metrics::Counter& defects_counter = metrics::counter("study.defects");
   static metrics::Counter& defective_counter =
@@ -110,6 +112,48 @@ int evaluate_one(std::uint64_t seed, double lambda, const StudyConfig& config,
          (o.escape ? kEscape : 0) | (o.vlv_fail ? kVlvFail : 0) |
          (o.vmax_fail ? kVmaxFail : 0) | (o.atspeed_fail ? kAtspeedFail : 0) |
          (o.interesting() ? kInteresting : 0);
+}
+
+/// Devices per outcome mask: count[m] devices ended with mask m.
+using MaskCounts = std::array<long, kStudyJob.max_code + 1>;
+
+/// The StudyResult of a population, from its mask histogram.
+StudyResult tally(const MaskCounts& count) {
+  StudyResult result;
+  for (int mask = 0; mask <= kStudyJob.max_code; ++mask) {
+    const long n = count[static_cast<std::size_t>(mask)];
+    if (n == 0) continue;
+    result.devices += n;
+    if (!(mask & kDefective)) continue;
+    result.defective += n;
+
+    const bool standard_fail = mask & kStandardFail;
+    const bool v = mask & kVlvFail;
+    const bool m = mask & kVmaxFail;
+    const bool s = mask & kAtspeedFail;
+    if (standard_fail) result.standard_fails += n;
+    if (mask & kEscape) result.escapes += n;
+
+    // Escape accounting per augmentation strategy. The standard test is
+    // always applied; each strategy adds one stress screen.
+    if (!standard_fail) {
+      result.escapes_standard_only += n;
+      if (!v) result.escapes_with_vlv += n;
+      if (!m) result.escapes_with_vmax += n;
+      if (!s) result.escapes_with_atspeed += n;
+    }
+
+    if (mask & kInteresting) {
+      if (v && m && s) result.venn.all_three += n;
+      else if (v && m) result.venn.vlv_and_vmax += n;
+      else if (v && s) result.venn.vlv_and_atspeed += n;
+      else if (m && s) result.venn.vmax_and_atspeed += n;
+      else if (v) result.venn.vlv_only += n;
+      else if (m) result.venn.vmax_only += n;
+      else result.venn.atspeed_only += n;
+    }
+  }
+  return result;
 }
 
 /// CRC32 over the config knobs that shape per-device outcomes plus the
@@ -127,32 +171,72 @@ std::string study_fingerprint(const StudyConfig& config,
   return checkpoint::crc32_hex(canon);
 }
 
-/// Evaluate the still-pending devices of the record's range. Each device
-/// owns an independent child generator (Rng::split contract: one master
-/// draw seeds one child); the master stream is drawn serially up to the
-/// range's end, so device d's stream — and therefore every count — is the
-/// same under any thread count or shard layout.
-void evaluate_range(const StudyConfig& config,
-                    const estimator::DetectabilityDb& db,
-                    const defects::DefectSampler& sampler, JobRecord& record) {
+/// The fan-out's blocks: at most this many runs of consecutive devices, so
+/// the block count, and with it `parallel.tasks`, follows from the device
+/// count alone.
+constexpr std::size_t kMaxBlocks = 256;
+
+/// One block's mask histogram, on cache lines of its own.
+struct alignas(64) BlockTally {
+  MaskCounts count{};
+};
+
+/// Evaluate the still-pending devices of the record's range and return the
+/// range's mask histogram. Each device owns an independent child generator
+/// (Rng::split contract: the master stream's d-th draw seeds device d).
+/// One serial pass copies the master stream at each block's first device;
+/// each block then draws its devices' seeds from its own copy, so device
+/// d's stream, and every count, is the same under any thread count or
+/// shard layout. A device restored from a checkpoint consumes its draw and
+/// is counted, not re-evaluated.
+MaskCounts evaluate_range(const StudyConfig& config,
+                          const estimator::DetectabilityDb& db,
+                          const defects::DefectSampler& sampler,
+                          JobRecord& record) {
   const std::size_t begin = record.begin();
+  const std::size_t devices = record.end() - begin;
   {
     static metrics::Counter& device_counter = metrics::counter("study.devices");
-    device_counter.add(static_cast<long long>(record.end() - begin));
+    device_counter.add(static_cast<long long>(devices));
   }
-  const double lambda =
-      sampler.fab().expected_defects(config.chip_area_um2());
+  const PoissonDraw defects_per_device(
+      sampler.fab().expected_defects(config.chip_area_um2()));
+  const std::size_t block_size =
+      std::max<std::size_t>(1, (devices + kMaxBlocks - 1) / kMaxBlocks);
+  const std::size_t blocks = (devices + block_size - 1) / block_size;
+  std::vector<Rng> streams;
+  streams.reserve(blocks);
   Rng master(config.seed);
-  for (std::size_t d = 0; d < begin; ++d) master();
-  std::vector<std::uint64_t> seeds(record.end() - begin);
-  for (auto& seed : seeds) seed = master();
+  master.discard(begin);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    if (b > 0) master.discard(block_size);
+    streams.push_back(master);
+  }
 
-  const auto body = [&](std::size_t k) {
-    if (record.done(begin + k)) return;  // restored from a checkpoint
-    record.commit(begin + k,
-                  evaluate_one(seeds[k], lambda, config, db, sampler));
+  std::vector<BlockTally> tallies(blocks);
+  const auto body = [&](std::size_t b) {
+    Rng stream = streams[b];
+    MaskCounts& count = tallies[b].count;
+    const std::size_t first = begin + b * block_size;
+    const std::size_t last = std::min(record.end(), first + block_size);
+    for (std::size_t d = first; d < last; ++d) {
+      const std::uint64_t seed = stream();
+      int code = -1;
+      if (record.done(d)) {
+        code = record.code(d);  // restored from a checkpoint
+      } else {
+        code = evaluate_one(seed, defects_per_device, config, db, sampler);
+        record.commit(d, code);
+      }
+      if (code >= 0) ++count[static_cast<std::size_t>(code)];
+    }
   };
-  parallel_for(seeds.size(), body, config.threads, config.cancel);
+  parallel_for(blocks, body, config.threads, config.cancel);
+
+  MaskCounts total{};
+  for (const BlockTally& block : tallies)
+    for (std::size_t m = 0; m < total.size(); ++m) total[m] += block.count[m];
+  return total;
 }
 
 }  // namespace
@@ -175,8 +259,9 @@ StudyResult run_study(const StudyConfig& config,
   record.attach_checkpoint(config.checkpoint_path, config.checkpoint_interval,
                            std::max<long>(1024, config.device_count / 32),
                            [&] { return study_fingerprint(config, db); });
-  record.run([&] { evaluate_range(config, db, sampler, record); });
-  return reduce_study(config, record.codes());
+  MaskCounts count{};
+  record.run([&] { count = evaluate_range(config, db, sampler, record); });
+  return tally(count);
 }
 
 std::vector<int> run_study_range(const StudyConfig& config,
@@ -204,42 +289,14 @@ StudyResult reduce_study(const StudyConfig& config,
           "reduce_study: got " + std::to_string(masks.size()) +
               " masks for a population of " +
               std::to_string(config.device_count) + " devices");
-  StudyResult result;
+  MaskCounts count{};
   for (const int mask : masks) {
     if (mask < 0) continue;  // unresolved device: excluded from every tally
     if (mask > kStudyJob.max_code)
       throw Error("reduce_study: bad outcome mask " + std::to_string(mask));
-    ++result.devices;
-    if (!(mask & kDefective)) continue;
-    ++result.defective;
-
-    const bool standard_fail = mask & kStandardFail;
-    const bool v = mask & kVlvFail;
-    const bool m = mask & kVmaxFail;
-    const bool s = mask & kAtspeedFail;
-    if (standard_fail) ++result.standard_fails;
-    if (mask & kEscape) ++result.escapes;
-
-    // Escape accounting per augmentation strategy. The standard test is
-    // always applied; each strategy adds one stress screen.
-    if (!standard_fail) {
-      ++result.escapes_standard_only;
-      if (!v) ++result.escapes_with_vlv;
-      if (!m) ++result.escapes_with_vmax;
-      if (!s) ++result.escapes_with_atspeed;
-    }
-
-    if (mask & kInteresting) {
-      if (v && m && s) ++result.venn.all_three;
-      else if (v && m) ++result.venn.vlv_and_vmax;
-      else if (v && s) ++result.venn.vlv_and_atspeed;
-      else if (m && s) ++result.venn.vmax_and_atspeed;
-      else if (v) ++result.venn.vlv_only;
-      else if (m) ++result.venn.vmax_only;
-      else ++result.venn.atspeed_only;
-    }
+    ++count[static_cast<std::size_t>(mask)];
   }
-  return result;
+  return tally(count);
 }
 
 }  // namespace memstress::study

@@ -32,9 +32,11 @@ struct StudyConfig {
   double fast_period = 15e-9;     ///< tester floor for at-speed
   std::uint64_t seed = 2005;
   /// Worker threads for the device loop: 1 = serial, 0 = MEMSTRESS_THREADS /
-  /// hardware default. Each device draws from its own Rng child stream
-  /// seeded serially from `seed`, so every count in the result (and the
-  /// Fig. 11 Venn breakdown) is identical at any thread count.
+  /// hardware default. Device d draws from its own Rng child stream, seeded
+  /// by the d-th draw of the master stream from `seed`; the loop fans out
+  /// over at most 256 blocks of consecutive devices, each drawing its seeds
+  /// from a copy of the master stream, so every count in the result (and
+  /// the Fig. 11 Venn breakdown) is identical at any thread count.
   int threads = 0;
 
   // --- fault tolerance -----------------------------------------------------
@@ -124,8 +126,9 @@ StudyResult run_study(const StudyConfig& config,
 
 /// Evaluate devices [begin, end) of the population — the worker half of the
 /// distributed study and the body run_study() runs over [0, device_count).
-/// The serial seed schedule is drawn up to `end`, so device d's RNG child
-/// stream is identical under any shard layout and the masks match a
+/// Device d's seed is the master stream's d-th draw wherever the shard's
+/// blocks start (the stream is advanced past `begin` first), so its RNG
+/// child stream is identical under any shard layout and the masks match a
 /// single-node run bit for bit. Returns one packed outcome mask (0..127,
 /// the checkpoint code) per device in the range. No checkpointing — the
 /// coordinator retries whole shards.

@@ -37,6 +37,10 @@ std::uint64_t Rng::operator()() {
   return result;
 }
 
+void Rng::discard(std::uint64_t n) {
+  for (; n > 0; --n) (*this)();
+}
+
 double Rng::uniform() {
   // 53 high bits -> double in [0, 1).
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -76,27 +80,7 @@ std::uint64_t Rng::below(std::uint64_t n) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
-unsigned Rng::poisson(double mean) {
-  require(mean >= 0.0, "Rng::poisson requires a non-negative mean");
-  if (mean == 0.0) return 0;
-  if (mean > 64.0) {
-    // Normal approximation; adequate for the large-population studies here.
-    const double draw = normal(mean, std::sqrt(mean));
-    if (draw <= 0.0) return 0u;
-    // Past 2^32 (or for an infinite mean) the cast would be undefined.
-    require(draw + 0.5 < 4294967296.0,
-            "Rng::poisson: the mean is too large for an unsigned count");
-    return static_cast<unsigned>(draw + 0.5);
-  }
-  const double threshold = std::exp(-mean);
-  unsigned count = 0;
-  double product = uniform();
-  while (product > threshold) {
-    ++count;
-    product *= uniform();
-  }
-  return count;
-}
+unsigned Rng::poisson(double mean) { return PoissonDraw(mean)(*this); }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   require(!weights.empty(), "Rng::weighted_index requires weights");
@@ -115,5 +99,33 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
 }
 
 Rng Rng::split() { return Rng((*this)()); }
+
+PoissonDraw::PoissonDraw(double mean) : mean_(mean) {
+  require(mean >= 0.0, "Rng::poisson requires a non-negative mean");
+  if (mean > 64.0)
+    stddev_ = std::sqrt(mean);
+  else
+    threshold_ = std::exp(-mean);
+}
+
+unsigned PoissonDraw::operator()(Rng& rng) const {
+  if (mean_ == 0.0) return 0;
+  if (mean_ > 64.0) {
+    // Normal approximation; adequate for the large-population studies here.
+    const double draw = rng.normal(mean_, stddev_);
+    if (draw <= 0.0) return 0u;
+    // Past 2^32 (or for an infinite mean) the cast would be undefined.
+    require(draw + 0.5 < 4294967296.0,
+            "Rng::poisson: the mean is too large for an unsigned count");
+    return static_cast<unsigned>(draw + 0.5);
+  }
+  unsigned count = 0;
+  double product = rng.uniform();
+  while (product > threshold_) {
+    ++count;
+    product *= rng.uniform();
+  }
+  return count;
+}
 
 }  // namespace memstress

@@ -27,6 +27,10 @@ class Rng {
   /// Next raw 64-bit value.
   std::uint64_t operator()();
 
+  /// Advance the stream past its next n values, as n calls of operator()
+  /// would (the std engines' name).
+  void discard(std::uint64_t n);
+
   /// Uniform double in [0, 1).
   double uniform();
 
@@ -51,9 +55,8 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p);
 
-  /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64). Throws Error for a negative mean and
-  /// for a draw that does not fit `unsigned` (a mean near 2^32 or above).
+  /// Poisson-distributed count with the given mean: PoissonDraw(mean) of
+  /// this stream.
   unsigned poisson(double mean);
 
   /// Pick an index in [0, weights.size()) with probability proportional to
@@ -66,6 +69,25 @@ class Rng {
 
  private:
   std::uint64_t state_[4];
+};
+
+/// Poisson counts of one mean (Knuth for small means, normal approximation
+/// above 64), with the checks on the mean and exp(-mean) done once: a
+/// caller drawing many counts of one mean builds one. Draw for draw and
+/// throw for throw, `PoissonDraw(mean)(rng)` is `rng.poisson(mean)`.
+class PoissonDraw {
+ public:
+  /// Throws Error for a negative (or NaN) mean.
+  explicit PoissonDraw(double mean);
+
+  /// One count from `rng`. Throws Error for a draw that does not fit
+  /// `unsigned` (a mean near 2^32 or above).
+  unsigned operator()(Rng& rng) const;
+
+ private:
+  double mean_;
+  double stddev_ = 0.0;    ///< normal approximation: sqrt(mean)
+  double threshold_ = 0.0; ///< Knuth: exp(-mean)
 };
 
 }  // namespace memstress

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "layout/sram_layout.hpp"
 #include "util/error.hpp"
 
@@ -24,6 +26,53 @@ SitePopulation extracted_population() {
                          layout::extract_opens(model));
 }
 
+/// DefectSampler::sample as it was before the sampler kept templates: the
+/// same draws in the same order, each defect built by representative_*.
+struct ReferenceSampler {
+  const DefectSampler& sampler;
+  sram::BlockSpec spec;
+
+  Defect sample(Rng& rng) const {
+    const SitePopulation& population = sampler.population();
+    const FabModel& fab = sampler.fab();
+    std::vector<double> bridge_weights, open_weights;
+    for (const auto& [cat, w] : population.bridges) bridge_weights.push_back(w);
+    for (const auto& [cat, w] : population.opens) open_weights.push_back(w);
+    const bool is_bridge =
+        !bridge_weights.empty() &&
+        (open_weights.empty() || rng.chance(fab.bridge_fraction));
+    if (is_bridge) {
+      const BridgeCategory category =
+          population.bridges[rng.weighted_index(bridge_weights)].first;
+      if (category == BridgeCategory::CellGateOxide) {
+        Defect defect = representative_bridge(category, spec,
+                                              fab.sample_gox_resistance(rng));
+        defect.breakdown_v = fab.sample_gox_vbd(rng);
+        return defect;
+      }
+      return representative_bridge(category, spec,
+                                   fab.sample_bridge_resistance(rng));
+    }
+    const OpenCategory category =
+        population.opens[rng.weighted_index(open_weights)].first;
+    return representative_open(category, spec, fab.sample_open_resistance(rng));
+  }
+
+  Defect sample_mtj(Rng& rng) const {
+    const double resistance = sampler.mtj_fab().sample_resistance(rng);
+    return representative_mtj(sampler.mtj_fab().sample_category(rng), spec,
+                              resistance);
+  }
+};
+
+bool same_defect(const Defect& a, const Defect& b) {
+  return a.kind == b.kind && a.net_a == b.net_a && a.net_b == b.net_b &&
+         a.resistance == b.resistance && a.breakdown_v == b.breakdown_v &&
+         a.bridge_category == b.bridge_category &&
+         a.open_category == b.open_category &&
+         a.mtj_category == b.mtj_category;
+}
+
 TEST(AggregateSites, SumsWeightsPerCategory) {
   std::vector<layout::BridgeSite> bridges(2);
   bridges[0].category = BridgeCategory::CellTrueFalse;
@@ -38,6 +87,65 @@ TEST(AggregateSites, SumsWeightsPerCategory) {
   EXPECT_DOUBLE_EQ(pop.bridges[0].second, 3.0);
   EXPECT_DOUBLE_EQ(pop.bridge_weight_total(), 3.0);
   EXPECT_DOUBLE_EQ(pop.open_weight_total(), 0.5);
+}
+
+TEST(DefectSampler, DrawsEqualTheRepresentativeReference) {
+  // A 2x1 block drops the bitline-bitline and address-address bridges; a
+  // 4x2 block hosts every bridge category. Each draw must equal the
+  // reference field by field, net names included, over one stream.
+  sram::BlockSpec wide;
+  wide.rows = 4;
+  wide.cols = 2;
+  for (const sram::BlockSpec& spec : {block_2x1(), wide}) {
+    const DefectSampler sampler(extracted_population(), FabModel{}, spec);
+    const ReferenceSampler reference{sampler, spec};
+    Rng drawn(41), expected(41);
+    for (int i = 0; i < 100000; ++i) {
+      const Defect got = sampler.sample(drawn);
+      const Defect want = reference.sample(expected);
+      ASSERT_TRUE(same_defect(got, want))
+          << "draw " << i << ": " << got.tag() << " vs " << want.tag();
+    }
+    EXPECT_EQ(drawn(), expected());
+  }
+}
+
+TEST(DefectSampler, MtjDrawsEqualTheRepresentativeReference) {
+  const DefectSampler sampler(MtjFabModel{}, block_2x1());
+  const ReferenceSampler reference{sampler, block_2x1()};
+  Rng drawn(43), expected(43);
+  for (int i = 0; i < 100000; ++i) {
+    const Defect got = sampler.sample(drawn);
+    const Defect want = reference.sample_mtj(expected);
+    ASSERT_TRUE(same_defect(got, want))
+        << "draw " << i << ": " << got.tag() << " vs " << want.tag();
+  }
+  EXPECT_EQ(drawn(), expected());
+}
+
+TEST(DefectSampler, OpenWithoutARepresentativeThrowsOnlyWhenDrawn) {
+  // An Other open has no representative site. A population holding one
+  // still builds a sampler; only a draw that lands on it throws.
+  SitePopulation population;
+  population.bridges = {{BridgeCategory::CellTrueFalse, 1.0}};
+  population.opens = {{OpenCategory::Other, 1.0}};
+  const DefectSampler mixed(population, FabModel{}, block_2x1());
+  Rng rng(31);
+  int drawn = 0, thrown = 0;
+  for (int i = 0; i < 200; ++i) {
+    try {
+      EXPECT_EQ(mixed.sample(rng).kind, DefectKind::Bridge);
+      ++drawn;
+    } catch (const Error&) {
+      ++thrown;
+    }
+  }
+  EXPECT_GT(drawn, 0);
+  EXPECT_GT(thrown, 0);
+
+  population.bridges.clear();
+  const DefectSampler only_other(population, FabModel{}, block_2x1());
+  EXPECT_THROW(only_other.sample(rng), Error);
 }
 
 TEST(DefectSampler, RejectsEmptyPopulation) {

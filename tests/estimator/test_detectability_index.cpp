@@ -120,6 +120,34 @@ TEST(DetectabilityIndex, DuplicateCostEntriesKeepFirstEntryTieBreak) {
             reference_detected(db, DefectKind::Bridge, 1, 1e4, 1.8, 25e-9));
 }
 
+TEST(DetectabilityIndex, InfiniteCostsThrowLikeTheLinearScan) {
+  // log(0) and log(inf) put every entry at an infinite cost. The linear
+  // scan picks no entry and throws; the index must not answer with the
+  // first entry instead, on the entry's own condition or off it.
+  DbEntry e;
+  e.kind = DefectKind::Bridge;
+  e.category = 1;
+  e.resistance = 1e4;
+  e.vdd = 1.8;
+  e.period = 25e-9;
+  e.detected = true;
+  DbEntry other = e;
+  other.vdd = 1.65;
+  other.detected = false;
+  const DetectabilityDb db({e, other});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double r : {0.0, inf}) {
+    for (const double vdd : {1.8, 1.7}) {
+      EXPECT_THROW(reference_detected(db, DefectKind::Bridge, 1, r, vdd, 25e-9),
+                   Error);
+      EXPECT_THROW(db.detected(DefectKind::Bridge, 1, r, vdd, 25e-9), Error)
+          << "r=" << r << " vdd=" << vdd;
+    }
+  }
+  // A finite query on the same database still answers.
+  EXPECT_TRUE(db.detected(DefectKind::Bridge, 1, 1e4, 1.8, 25e-9));
+}
+
 TEST(DetectabilityIndex, EquidistantGroupsKeepLowestEntryTieBreak) {
   // The 2.5 V and 1.5 V groups sit at the same condition cost from a 2.0 V
   // query (all three values are exact in binary), and the 2.5 V group is

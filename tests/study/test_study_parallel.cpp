@@ -1,6 +1,7 @@
-// The sharded Monte-Carlo study must produce the same counts at any thread
-// count: each device owns an Rng child stream seeded serially from the study
-// seed, so scheduling cannot leak into the results.
+// The Monte-Carlo study must produce the same counts at any thread count:
+// device d owns an Rng child stream seeded by the master stream's d-th draw,
+// and the blocks of devices the study fans out over depend only on the
+// device count, so scheduling cannot leak into the results.
 #include "study/study.hpp"
 
 #include <gtest/gtest.h>

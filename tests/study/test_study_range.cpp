@@ -1,10 +1,12 @@
 // run_study_range() + reduce_study(): the worker and merge halves of the
-// distributed study. Shard layout must be invisible — the full serial seed
-// schedule is drawn up front, so device d's RNG stream is the same whether
-// it runs in a 1-device shard or the whole population at once.
+// distributed study. Shard layout must be invisible: device d's seed is the
+// master stream's d-th draw however the shard's blocks fall, so its RNG
+// stream is the same whether it runs in a 1-device shard or the whole
+// population at once.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "defects/sampler.hpp"
@@ -99,6 +101,31 @@ TEST(StudyRange, ShardedMasksReduceToTheFullRunResult) {
     }
     expect_equal(reduce_study(config, masks), full);
   }
+}
+
+TEST(StudyRange, ShardsThatCutBlocksMatchTheUnshardedRun) {
+  // 5,000 devices fan out in blocks of 20; these shards start and end
+  // inside blocks, and the last holds one device. Four threads write the
+  // blocks' tallies.
+  StudyConfig config = small_config();
+  config.device_count = 5000;
+  config.threads = 4;
+  const DetectabilityDb db = mixed_db();
+  const std::vector<int> whole =
+      run_study_range(config, db, make_sampler(), 0, 5000);
+  std::vector<int> masks;
+  for (const auto& [begin, end] :
+       {std::pair<std::size_t, std::size_t>{0, 1234}, {1234, 4999},
+        {4999, 5000}}) {
+    const std::vector<int> part =
+        run_study_range(config, db, make_sampler(), begin, end);
+    ASSERT_EQ(part.size(), end - begin);
+    masks.insert(masks.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(masks, whole);
+  const StudyResult full = run_study(config, db, make_sampler());
+  ASSERT_GT(full.defective, 0);
+  expect_equal(reduce_study(config, masks), full);
 }
 
 TEST(StudyRange, UnresolvedDevicesAreExcludedFromEveryTally) {

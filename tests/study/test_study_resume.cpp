@@ -1,7 +1,8 @@
 // Checkpoint/resume for the Monte-Carlo study: a crashed run must resume to
-// the identical StudyResult, a corrupt or foreign checkpoint must be
-// rejected with a warning and a clean restart, and cancellation must flush
-// a resumable snapshot.
+// the identical StudyResult, also when the snapshot restores only part of a
+// block of the fan-out, a corrupt or foreign checkpoint must be rejected
+// with a warning and a clean restart, and cancellation must flush a
+// resumable snapshot.
 #include "study/study.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -203,6 +205,64 @@ TEST(StudyCheckpoint, CancelledRunFlushesResumableSnapshot) {
   const StudyResult resumed = run_study(config, db, sampler);
   EXPECT_TRUE(same_result(fresh, resumed));
   EXPECT_FALSE(fs::exists(config.checkpoint_path));
+}
+
+TEST(StudyCheckpoint, ResumeThatRestoresPartOfABlockMatchesTheCleanRun) {
+  // 3,000 devices fan out in blocks of 12. The snapshot restores devices
+  // 5..8 of block 0 and 100..103 of block 8 (96..107). Each restored device
+  // still consumes its seed draw, so the devices after it in its block draw
+  // theirs unchanged, and the resume reproduces the clean run.
+  const DetectabilityDb db = mixed_db();
+  const auto sampler = make_sampler();
+  StudyConfig config = small_config();
+  const StudyResult fresh = run_study(config, db, sampler);
+  const std::vector<int> masks = run_study_range(config, db, sampler, 0, 3000);
+
+  config.checkpoint_path =
+      (fs::temp_directory_path() /
+       ("memstress_study_partial_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  fs::remove(config.checkpoint_path);
+  // A pre-cancelled run leaves the snapshot header, fingerprint included.
+  CancelToken token;
+  token.request_cancel();
+  config.cancel = &token;
+  set_log_sink([](LogLevel, const std::string&) {});
+  EXPECT_THROW(run_study(config, db, sampler), CancelledError);
+  set_log_sink({});
+  config.cancel = nullptr;
+  const std::optional<std::string> header =
+      checkpoint::load(config.checkpoint_path);
+  ASSERT_TRUE(header.has_value());
+
+  const std::vector<std::size_t> restored = {5, 6, 7, 8, 100, 101, 102, 103};
+  const auto resume_with = [&](const std::vector<int>& codes) {
+    std::string payload = *header;
+    for (const std::size_t d : restored)
+      payload += std::to_string(d) + " " + std::to_string(codes[d]) + "\n";
+    checkpoint::save(config.checkpoint_path, payload);
+    return run_study(config, db, sampler);
+  };
+  for (const int threads : {1, 4}) {
+    config.threads = threads;
+    EXPECT_TRUE(same_result(fresh, resume_with(masks))) << "threads " << threads;
+    EXPECT_FALSE(fs::exists(config.checkpoint_path));
+  }
+
+  // A restored device is counted as the snapshot says, not re-evaluated:
+  // marking a clean one defective-but-caught-by-nothing (mask 1) adds
+  // exactly one defective device.
+  std::size_t clean = restored.size();
+  for (std::size_t k = 0; k < restored.size() && clean == restored.size(); ++k)
+    if (masks[restored[k]] == 0) clean = k;
+  ASSERT_LT(clean, restored.size());
+  std::vector<int> marked = masks;
+  marked[restored[clean]] = 1;
+  const StudyResult resumed = resume_with(marked);
+  EXPECT_EQ(resumed.devices, fresh.devices);
+  EXPECT_EQ(resumed.defective, fresh.defective + 1);
+  EXPECT_EQ(resumed.escapes_standard_only, fresh.escapes_standard_only + 1);
+  fs::remove(config.checkpoint_path);
 }
 
 TEST(StudyCheckpointDeath, CrashedRunResumesToIdenticalResult) {

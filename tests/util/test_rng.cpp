@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -11,6 +12,27 @@
 
 namespace memstress {
 namespace {
+
+/// Rng::poisson as it was before PoissonDraw existed, kept as the
+/// reference the shared implementation must match draw for draw.
+unsigned reference_poisson(Rng& rng, double mean) {
+  require(mean >= 0.0, "reference: negative mean");
+  if (mean == 0.0) return 0;
+  if (mean > 64.0) {
+    const double draw = rng.normal(mean, std::sqrt(mean));
+    if (draw <= 0.0) return 0u;
+    require(draw + 0.5 < 4294967296.0, "reference: count past unsigned");
+    return static_cast<unsigned>(draw + 0.5);
+  }
+  const double threshold = std::exp(-mean);
+  unsigned count = 0;
+  double product = rng.uniform();
+  while (product > threshold) {
+    ++count;
+    product *= rng.uniform();
+  }
+  return count;
+}
 
 TEST(Rng, IsDeterministicForSameSeed) {
   Rng a(42), b(42);
@@ -169,6 +191,53 @@ TEST(Rng, SplitProducesIndependentStream) {
   for (int i = 0; i < 64; ++i)
     if (parent() == child()) ++same;
   EXPECT_EQ(same, 0);
+}
+
+TEST(Rng, DiscardEqualsThatManyDraws) {
+  for (const std::uint64_t n :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1000},
+        (std::uint64_t{1} << 20) + 3}) {
+    Rng drawn(43), skipped(43);
+    for (std::uint64_t i = 0; i < n; ++i) drawn();
+    skipped.discard(n);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(skipped(), drawn()) << "n=" << n;
+  }
+}
+
+TEST(Rng, PoissonDrawMatchesTheReferenceDrawForDraw) {
+  // Every mean class: zero, Knuth's loop (tiny, study-sized, several draws,
+  // its 64 edge), the normal approximation, and means whose every draw
+  // throws. Rng::poisson and one PoissonDraw must return (or throw) what
+  // the reference does and leave the stream where it leaves it.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double mean : {0.0, 1e-3, 0.37, 5.0, 64.0, 64.5, 1e9, 1e12, inf}) {
+    Rng reference(41), plain(41), drawn(41);
+    const PoissonDraw draw(mean);
+    for (int i = 0; i < 2000; ++i) {
+      bool threw = false;
+      unsigned expected = 0;
+      try {
+        expected = reference_poisson(reference, mean);
+      } catch (const Error&) {
+        threw = true;
+      }
+      if (threw) {
+        ASSERT_THROW(plain.poisson(mean), Error) << mean << " draw " << i;
+        ASSERT_THROW(draw(drawn), Error) << mean << " draw " << i;
+      } else {
+        ASSERT_EQ(plain.poisson(mean), expected) << mean << " draw " << i;
+        ASSERT_EQ(draw(drawn), expected) << mean << " draw " << i;
+      }
+    }
+    const std::uint64_t next = reference();
+    EXPECT_EQ(plain(), next) << mean;
+    EXPECT_EQ(drawn(), next) << mean;
+  }
+  for (const double mean : {-1.0, std::nan("")}) {
+    Rng rng(41);
+    EXPECT_THROW(rng.poisson(mean), Error) << mean;
+    EXPECT_THROW(PoissonDraw{mean}, Error) << mean;
+  }
 }
 
 TEST(Rng, ChanceExtremes) {
