@@ -71,7 +71,7 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
   Rng rng(seed);
   const double lambda =
-      sampler.fab().expected_defects(study_config.chip_area_um2());
+      sampler.expected_defects(study_config.chip_area_um2());
 
   long shipped = 0, standard_rejects = 0, stress_rejects = 0, escapes = 0;
   bool printed_bitmap = false;

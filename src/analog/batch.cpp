@@ -42,7 +42,10 @@ metrics::Counter& lane_ejection_counter() {
 
 BatchSimulator::BatchSimulator(const Netlist& netlist, SweptElement swept,
                                std::vector<double> lane_values)
-    : net_(netlist), swept_(swept), values_(std::move(lane_values)) {
+    : net_(netlist),
+      rows_(net_),
+      swept_(swept),
+      values_(std::move(lane_values)) {
   require(!values_.empty(), "BatchSimulator: at least one lane required");
   if (swept_.kind == SweptElement::Kind::ResistorOhms) {
     require(swept_.index < net_.resistors().size(),
@@ -55,8 +58,6 @@ BatchSimulator::BatchSimulator(const Netlist& netlist, SweptElement swept,
     for (const double v : values_)
       require(v >= 0.0, "BatchSimulator: lane vbd must be >= 0");
   }
-  num_nodes_ = net_.node_count() - 1;
-  num_unknowns_ = num_nodes_ + net_.vsources().size();
 }
 
 void BatchSimulator::set_initial(const std::string& node_name, double volts) {
@@ -68,26 +69,37 @@ void BatchSimulator::set_initial(const std::string& node_name, double volts) {
 namespace {
 
 /// All mutable state of one batched run. Lane-major ("SoA") layout for the
-/// voltage vectors: v[u * lanes + l] is unknown u of lane l, so the shared
-/// matrix row sweeps contiguously across lanes in the inner loop.
+/// node-voltage vectors: v[u * lanes + l] is node index u of lane l, so the
+/// shared matrix row sweeps contiguously across lanes in the inner loop.
 struct Runner {
   // --- immutable-per-run context -------------------------------------
   Netlist& net;  // private copy owned by the BatchSimulator; retargeted
+  const RowMap& rows;
   const SweptElement swept;
   const std::vector<double>& values;
   const TransientSpec& spec;
-  const std::size_t lanes, num_nodes, num_unknowns;
+  const std::size_t lanes, num_nodes, num_free, num_sources;
   /// Lanes share factorizations only across a resistor sweep, where the
   /// lane difference is the rank-1 stamp Sherman–Morrison bridges.
   const bool share_jacobian;
   std::vector<MosParams> run_params;
   std::vector<std::pair<std::string, double>> initial;
+  /// The swept resistor's ends as (row, ±1): its free ends are the
+  /// Sherman–Morrison direction; an end on a source node couples the lane's
+  /// conductance difference to that node's step through the right-hand side.
+  std::vector<std::pair<std::size_t, double>> swept_free, swept_source;
 
   // --- SoA state ------------------------------------------------------
   std::vector<double> v;        // current iterate, all lanes
   std::vector<double> v_piece;  // backward-Euler history (start of piece)
   std::vector<double> v_backup; // start of nominal interval (for fallback)
-  std::vector<double> residual; // F per lane, recomputed each iteration
+  /// KCL sum per node and lane, recomputed each iteration: F for a free
+  /// node; for a source node, the current the source delivers.
+  std::vector<double> residual;
+  /// Current out of each source, per lane (current[k * lanes + l]): its
+  /// node's KCL sum at the lane's last converged iterate.
+  std::vector<double> current;
+  std::vector<double> source_v;  // source voltages at the piece's end time
 
   // --- per-lane bookkeeping -------------------------------------------
   std::vector<char> dead;           // permanently failed
@@ -113,9 +125,17 @@ struct Runner {
     bool fresh = false;  // factored this lockstep iteration
     double g_ref = 0.0;  // swept-resistor conductance baked into the factor
     std::vector<double> state;  // node voltages the factor was assembled at
+    /// The factored Jacobian's source columns: free row `row` couples to
+    /// source `source`'s node with entry `a`.
+    struct SourceEntry {
+      std::size_t row, source;
+      double a;
+    };
+    std::vector<SourceEntry> source_cols;
   };
   std::vector<Slot> slots;
-  DenseMatrix a_lin;      // linear stamps (excl. swept R, excl. devices)
+  DenseMatrix a_lin;      // linear stamps over node indices (excl. swept R,
+                          // excl. devices)
   /// Nonzero entries of a_lin in row-major order, so the residual's linear
   /// product streams over actual stamps instead of scanning the n^2 grid.
   struct LinEntry {
@@ -125,9 +145,11 @@ struct Runner {
   std::vector<LinEntry> a_lin_nnz;
   bool a_lin_valid = false;
   double a_lin_dt = 0.0;
-  DenseMatrix a_scratch;  // full-Jacobian assembly target for refreshes
+  DenseMatrix a_scratch;  // assemble_system target for refreshes
   std::vector<double> rhs_scratch;
-  std::vector<double> lane_vec;   // gather/scatter scratch
+  std::vector<double> lane_vec;   // a lane's free-row solve vector
+  std::vector<double> lane_step;  // a lane's source-node steps to V(t)
+  std::vector<double> lane_v;     // gather/scatter scratch
   std::vector<double> lane_prev;
 
   /// Lazily created per-lane scalar simulators for ejected intervals; each
@@ -142,17 +164,18 @@ struct Runner {
   long refactorizations = 0;
   long lane_ejections = 0;
 
-  Runner(Netlist& net_in, SweptElement swept_in,
+  Runner(Netlist& net_in, const RowMap& rows_in, SweptElement swept_in,
          const std::vector<double>& values_in, const TransientSpec& spec_in,
-         std::size_t num_nodes_in, std::size_t num_unknowns_in,
          std::vector<std::pair<std::string, double>> initial_in)
       : net(net_in),
+        rows(rows_in),
         swept(swept_in),
         values(values_in),
         spec(spec_in),
         lanes(values_in.size()),
-        num_nodes(num_nodes_in),
-        num_unknowns(num_unknowns_in),
+        num_nodes(rows_in.nodes()),
+        num_free(rows_in.free()),
+        num_sources(net_in.vsources().size()),
         share_jacobian(swept_in.kind == SweptElement::Kind::ResistorOhms),
         initial(std::move(initial_in)) {
     run_params.reserve(net.mosfets().size());
@@ -160,11 +183,20 @@ struct Runner {
       run_params.push_back(spec.temp_c == 25.0
                                ? m.params
                                : at_temperature(m.params, spec.temp_c));
-    const std::size_t total = num_unknowns * lanes;
+    if (share_jacobian) {
+      const auto& r = net.resistors()[swept.index];
+      for (const auto& [node, coeff] : {std::pair{r.a, +1.0}, {r.b, -1.0}}) {
+        if (node == kGround) continue;
+        const std::size_t row = rows.row(idx(node));
+        (row < num_free ? swept_free : swept_source).emplace_back(row, coeff);
+      }
+    }
+    const std::size_t total = num_nodes * lanes;
     v.assign(total, 0.0);
     v_piece.assign(total, 0.0);
     v_backup.assign(total, 0.0);
     residual.assign(total, 0.0);
+    current.assign(num_sources * lanes, 0.0);
     dead.assign(lanes, 0);
     converged.assign(lanes, 0);
     piece_failed.assign(lanes, 0);
@@ -180,11 +212,13 @@ struct Runner {
     // of them (slot_of) and bridges the swept-value difference with a rank-1
     // update; slot l is simply where lane l's own-state refresh lands.
     slots.resize(lanes);
-    a_lin.resize(num_unknowns);
-    a_scratch.resize(num_unknowns);
-    rhs_scratch.assign(num_unknowns, 0.0);
-    lane_vec.assign(num_unknowns, 0.0);
-    lane_prev.assign(num_unknowns, 0.0);
+    a_lin.resize(num_nodes);
+    a_scratch.resize(num_nodes);
+    rhs_scratch.assign(num_nodes, 0.0);
+    lane_vec.assign(num_free, 0.0);
+    lane_step.assign(num_sources, 0.0);
+    lane_v.assign(num_nodes, 0.0);
+    lane_prev.assign(num_nodes, 0.0);
     fallbacks.resize(lanes);
   }
 
@@ -213,19 +247,17 @@ struct Runner {
       for (std::size_t l = 0; l < lanes; ++l) v[at(u, l)] = volts;
     }
     for (const auto& src : net.vsources()) {
-      if (src.pos != kGround && src.neg == kGround) {
-        const double val = src.wave.value(0.0);
-        const std::size_t u = idx(src.pos);
-        for (std::size_t l = 0; l < lanes; ++l) v[at(u, l)] = val;
-      }
+      const double val = src.wave.value(0.0);
+      const std::size_t u = idx(src.pos);
+      for (std::size_t l = 0; l < lanes; ++l) v[at(u, l)] = val;
     }
     v_piece = v;
   }
 
   /// Linear, lane-independent stamps: gmin floor, every resistor except a
-  /// swept one, backward-Euler capacitor conductances (dt-dependent) and
-  /// the voltage-source incidence rows. Devices and the swept element stay
-  /// out — they are evaluated exactly, per lane, in eval_residuals.
+  /// swept one and backward-Euler capacitor conductances (dt-dependent).
+  /// Devices and the swept element stay out — they are evaluated exactly,
+  /// per lane, in eval_residuals.
   void build_a_lin(double dt) {
     if (a_lin_valid && a_lin_dt == dt) return;
     a_lin.set_zero();
@@ -251,33 +283,20 @@ struct Runner {
         a_lin.add(idx(c.b), idx(c.a), -g);
       }
     }
-    const auto& sources = net.vsources();
-    for (std::size_t k = 0; k < sources.size(); ++k) {
-      const auto& src = sources[k];
-      const std::size_t br = num_nodes + k;
-      if (src.pos != kGround) {
-        a_lin.add(idx(src.pos), br, 1.0);
-        a_lin.add(br, idx(src.pos), 1.0);
-      }
-      if (src.neg != kGround) {
-        a_lin.add(idx(src.neg), br, -1.0);
-        a_lin.add(br, idx(src.neg), -1.0);
-      }
-    }
     a_lin_nnz.clear();
-    for (std::size_t u = 0; u < num_unknowns; ++u)
-      for (std::size_t c = 0; c < num_unknowns; ++c)
+    for (std::size_t u = 0; u < num_nodes; ++u)
+      for (std::size_t c = 0; c < num_nodes; ++c)
         if (a_lin.at(u, c) != 0.0) a_lin_nnz.push_back({u, c, a_lin.at(u, c)});
     a_lin_valid = true;
     a_lin_dt = dt;
   }
 
-  /// True KCL residual F(v) per lane at time t with step dt: linear part as
+  /// True KCL residual F(v) per node and lane with step dt: linear part as
   /// an (A_lin x all-lanes) product, then exact per-lane device currents.
   /// No linearization anywhere, so |F| small means the lane genuinely
   /// solves its own circuit — regardless of whose Jacobian produced the
   /// iterates.
-  void eval_residuals(double t, double dt) {
+  void eval_residuals(double dt) {
     std::fill(residual.begin(), residual.end(), 0.0);
     for (const LinEntry& e : a_lin_nnz) {
       double* out = &residual[e.u * lanes];
@@ -293,13 +312,6 @@ struct Runner {
         if (c.a != kGround) residual[at(idx(c.a), l)] -= ieq;
         if (c.b != kGround) residual[at(idx(c.b), l)] += ieq;
       }
-    }
-    // Source constraint rows: (Vpos - Vneg) - V(t), shared across lanes.
-    const auto& sources = net.vsources();
-    for (std::size_t k = 0; k < sources.size(); ++k) {
-      const double val = sources[k].wave.value(t);
-      const std::size_t br = num_nodes + k;
-      for (std::size_t l = 0; l < lanes; ++l) residual[at(br, l)] -= val;
     }
     // Exact nonlinear device currents, per lane.
     const auto& mosfets = net.mosfets();
@@ -342,35 +354,35 @@ struct Runner {
 
   void gather(const std::vector<double>& soa, std::size_t l,
               std::vector<double>& out) const {
-    for (std::size_t u = 0; u < num_unknowns; ++u) out[u] = soa[at(u, l)];
+    for (std::size_t u = 0; u < num_nodes; ++u) out[u] = soa[at(u, l)];
   }
   void scatter(const std::vector<double>& in, std::size_t l,
                std::vector<double>& soa) const {
-    for (std::size_t u = 0; u < num_unknowns; ++u) soa[at(u, l)] = in[u];
+    for (std::size_t u = 0; u < num_nodes; ++u) soa[at(u, l)] = in[u];
   }
 
   /// Factor slot `s` at reference lane `ref`'s value and state, and (in the
   /// shared mode) register the rank-1 bridge direction for the other lanes.
   /// Returns false on a singular Jacobian.
-  bool refresh(Slot& slot, std::size_t ref, double t, double dt) {
+  bool refresh(Slot& slot, std::size_t ref, double dt) {
     retarget(values[ref]);
-    gather(v, ref, lane_vec);
+    gather(v, ref, lane_v);
     gather(v_piece, ref, lane_prev);
-    assemble_system(net, run_params, t, dt, spec.gmin, {}, lane_vec,
-                    lane_prev, a_scratch, rhs_scratch);
+    assemble_system(net, rows, run_params, source_v, dt, spec.gmin, {},
+                    lane_v, lane_prev, a_scratch, rhs_scratch);
     ++refactorizations;
-    if (!slot.ws.factor(a_scratch)) {
+    if (!slot.ws.factor(a_scratch, num_free)) {
       slot.valid = false;
       return false;
     }
-    slot.state.assign(lane_vec.begin(),
-                      lane_vec.begin() + static_cast<long>(num_nodes));
+    slot.state = lane_v;
+    slot.source_cols.clear();
+    for (std::size_t r = 0; r < num_free; ++r)
+      for (std::size_t k = 0; k < num_sources; ++k)
+        if (const double a = a_scratch.at(r, num_free + k); a != 0.0)
+          slot.source_cols.push_back({r, k, a});
     if (share_jacobian) {
-      const auto& r = net.resistors()[swept.index];
-      std::vector<std::pair<std::size_t, double>> u;
-      if (r.a != kGround) u.emplace_back(idx(r.a), +1.0);
-      if (r.b != kGround) u.emplace_back(idx(r.b), -1.0);
-      slot.ws.set_update_direction(u);
+      slot.ws.set_update_direction(swept_free);
       slot.g_ref = 1.0 / values[ref];
     }
     slot.valid = true;
@@ -433,26 +445,48 @@ struct Runner {
            res_norm[l] > kStallRatio * res_prev[l];
   }
 
-  bool solve_lane(std::size_t l, double t, double dt) {
+  /// Load lane l's right-hand side through `slot`, whose swept conductance
+  /// is dg below the lane's, into lane_vec: the negated free-row residual,
+  /// less the slot's source columns times each source node's step
+  /// (lane_step), less the lane's own dg share of a swept resistor that ties
+  /// a free node to a source node. Block elimination of the lane's full
+  /// system, so the solve yields the full system's free-node steps.
+  void load_rhs(const Slot& slot, std::size_t l, double dg) {
+    for (std::size_t r = 0; r < num_free; ++r)
+      lane_vec[r] = -residual[at(rows.node(r), l)];
+    for (const Slot::SourceEntry& e : slot.source_cols)
+      lane_vec[e.row] -= e.a * lane_step[e.source];
+    if (dg == 0.0 || swept_source.empty()) return;
+    double coupled = 0.0;
+    for (const auto& [row, coeff] : swept_source)
+      coupled += coeff * lane_step[row - num_free];
+    for (const auto& [row, coeff] : swept_free)
+      lane_vec[row] -= dg * coeff * coupled;
+  }
+
+  bool solve_lane(std::size_t l, double dt) {
+    // A source node steps to V(t) whichever rung serves the free nodes.
+    for (std::size_t k = 0; k < num_sources; ++k)
+      lane_step[k] = source_v[k] - v[at(rows.source_node(k), l)];
     Slot* slot = &slots[share_jacobian ? slot_of[l] : l];
     bool solved = false;
     if (slot->valid && !is_stalled(l, *slot)) {
-      gather(residual, l, lane_vec);
-      for (double& x : lane_vec) x = -x;
       if (share_jacobian) {
         const double dg = 1.0 / values[l] - slot->g_ref;
+        load_rhs(*slot, l, dg);
         // A false return (Sherman–Morrison denominator guard) falls through
         // to the own-Jacobian rung below.
         solved = slot->ws.solve_updated(dg, lane_vec);
       } else {
+        load_rhs(*slot, l, 0.0);
         slot->ws.solve(lane_vec);
         solved = true;
       }
     }
     const auto worst_node = [&] {
       double worst = 0.0;
-      for (std::size_t u = 0; u < num_nodes; ++u)
-        worst = std::max(worst, std::fabs(lane_vec[u]));
+      for (const double d : lane_vec) worst = std::max(worst, std::fabs(d));
+      for (const double d : lane_step) worst = std::max(worst, std::fabs(d));
       return worst;
     };
     double worst = solved ? worst_node() : 0.0;
@@ -465,9 +499,8 @@ struct Runner {
         Slot& cand = slots[s];
         if (&cand == slot || !cand.valid || !cand.fresh) continue;
         if (distance_to_slot(cand, l) > kNearState) continue;
-        gather(residual, l, lane_vec);
-        for (double& x : lane_vec) x = -x;
         const double dg = 1.0 / values[l] - cand.g_ref;
+        load_rhs(cand, l, dg);
         if (!cand.ws.solve_updated(dg, lane_vec)) continue;
         slot_of[l] = s;
         slot = &cand;
@@ -479,25 +512,26 @@ struct Runner {
     if (!trusted) {
       // Rung 3: the exact scalar Newton map from this lane's own state.
       Slot& own = slots[l];
-      if (!refresh(own, l, t, dt)) return false;
+      if (!refresh(own, l, dt)) return false;
       if (share_jacobian) slot_of[l] = l;
       slot = &own;
       // refresh() left a_scratch/rhs_scratch assembled at this lane's
       // state; solve for the next iterate directly, like the scalar path.
-      own.ws.solve(rhs_scratch);  // rhs_scratch := x
-      for (std::size_t u = 0; u < num_unknowns; ++u)
-        lane_vec[u] = rhs_scratch[u] - v[at(u, l)];
+      std::copy(rhs_scratch.begin(),
+                rhs_scratch.begin() + static_cast<long>(num_free),
+                lane_vec.begin());
+      own.ws.solve(lane_vec);  // lane_vec := x
+      for (std::size_t r = 0; r < num_free; ++r)
+        lane_vec[r] -= v[at(rows.node(r), l)];
       worst = worst_node();
     }
-    // Damped update, exactly the scalar clamp schedule: node voltages are
-    // clamped, branch currents move freely, the convergence norm uses the
-    // raw (unclamped) node deltas.
+    // Damped update, exactly the scalar clamp schedule: every node voltage
+    // is clamped, and the convergence norm uses the raw (unclamped) deltas.
     const double clamp = lane_iter[l] < 25 ? spec.damping : 0.1 * spec.damping;
-    for (std::size_t u = 0; u < num_unknowns; ++u) {
-      double delta = lane_vec[u];
-      if (u < num_nodes) delta = std::clamp(delta, -clamp, clamp);
-      v[at(u, l)] += delta;
-    }
+    for (std::size_t r = 0; r < num_free; ++r)
+      v[at(rows.node(r), l)] += std::clamp(lane_vec[r], -clamp, clamp);
+    for (std::size_t k = 0; k < num_sources; ++k)
+      v[at(rows.source_node(k), l)] += std::clamp(lane_step[k], -clamp, clamp);
     last_dv[l] = worst;
     ++lane_iter[l];
     ++stats[l].newton_iterations;
@@ -510,6 +544,7 @@ struct Runner {
   /// ladder); everything else ends converged with v updated and verified by
   /// the exact-residual test.
   void lockstep_piece(double t, double dt) {
+    source_voltages(net, t, source_v);
     for (std::size_t l = 0; l < lanes; ++l) {
       converged[l] = dead[l] || piece_failed[l];
       res_prev[l] = std::numeric_limits<double>::infinity();
@@ -522,7 +557,7 @@ struct Runner {
     // zero factorizations while a stimulus edge costs about one
     // factorization per *cluster* of nearby lanes per iteration.
     for (int iter = 0; iter < spec.max_newton; ++iter) {
-      eval_residuals(t, dt);
+      eval_residuals(dt);
       for (Slot& slot : slots) slot.fresh = false;
       bool all_done = true;
       for (std::size_t l = 0; l < lanes; ++l) {
@@ -530,12 +565,19 @@ struct Runner {
         const Slot& slot = slots[share_jacobian ? slot_of[l] : l];
         if (slot.valid) {
           double worst = 0.0;
-          for (std::size_t u = 0; u < num_unknowns; ++u)
-            worst = std::max(worst,
-                             std::fabs(residual[at(u, l)]) / slot.ws.row_norm(u));
+          for (std::size_t r = 0; r < num_free; ++r)
+            worst = std::max(worst, std::fabs(residual[at(rows.node(r), l)]) /
+                                        slot.ws.row_norm(r));
+          // A source node's constraint V - V(t) has a row norm of 1; its
+          // KCL sum is the source's current, not a residual.
+          for (std::size_t k = 0; k < num_sources; ++k)
+            worst = std::max(worst, std::fabs(v[at(rows.source_node(k), l)] -
+                                              source_v[k]));
           res_norm[l] = worst;
           if (worst < spec.vtol && last_dv[l] < spec.vtol) {
             converged[l] = 1;
+            for (std::size_t k = 0; k < num_sources; ++k)
+              current[k * lanes + l] = residual[at(rows.source_node(k), l)];
             continue;
           }
         }
@@ -548,7 +590,7 @@ struct Runner {
           solved_last[l] = 0;
           continue;
         }
-        if (!solve_lane(l, t, dt)) {
+        if (!solve_lane(l, dt)) {
           piece_failed[l] = 1;
           converged[l] = 1;
         } else {
@@ -579,10 +621,12 @@ struct Runner {
         fb.sim->set_initial(name, volts);
       fb.sim->prepare(spec);
     }
-    gather(v_backup, l, lane_vec);
-    fb.sim->set_state(lane_vec);
+    gather(v_backup, l, lane_v);
+    fb.sim->set_state(lane_v);
     fb.sim->advance_interval(t, spec, edge_step);
     scatter(fb.sim->state(), l, v);
+    for (std::size_t k = 0; k < num_sources; ++k)
+      current[k * lanes + l] = fb.sim->source_current(k);
     ++lane_ejections;
   }
 };
@@ -601,12 +645,12 @@ std::vector<LaneResult> BatchSimulator::run(
     lanes_c.add(static_cast<long>(values_.size()));
   }
 
-  Runner r(net_, swept_, values_, spec, num_nodes_, num_unknowns_, initial_);
+  Runner r(net_, rows_, swept_, values_, spec, initial_);
   r.seed_state();
 
-  std::vector<long> record_index;
-  std::vector<bool> record_negate;
-  resolve_record_signals(net_, num_nodes_, record, record_index, record_negate);
+  const std::vector<std::size_t> record_index =
+      resolve_record_signals(net_, record);
+  const std::size_t num_nodes = rows_.nodes();
 
   const std::size_t lanes = values_.size();
   std::vector<LaneResult> results;
@@ -618,8 +662,10 @@ std::vector<LaneResult> BatchSimulator::run(
   std::vector<double> samples(record_index.size());
   const auto record_point = [&](std::size_t l, double t) {
     for (std::size_t i = 0; i < record_index.size(); ++i) {
-      const double value = r.v[r.at(static_cast<std::size_t>(record_index[i]), l)];
-      samples[i] = record_negate[i] ? -value : value;
+      const std::size_t index = record_index[i];
+      samples[i] = index < num_nodes
+                       ? r.v[r.at(index, l)]
+                       : r.current[(index - num_nodes) * lanes + l];
     }
     results[l].trace.append(t, samples);
   };
@@ -649,7 +695,7 @@ std::vector<LaneResult> BatchSimulator::run(
       // Advance the BE history of the lanes that made it through.
       for (std::size_t l = 0; l < lanes; ++l) {
         if (r.dead[l] || r.piece_failed[l]) continue;
-        for (std::size_t u = 0; u < num_unknowns_; ++u)
+        for (std::size_t u = 0; u < num_nodes; ++u)
           r.v_piece[r.at(u, l)] = r.v[r.at(u, l)];
       }
     }
@@ -658,7 +704,7 @@ std::vector<LaneResult> BatchSimulator::run(
       if (r.dead[l] || !r.piece_failed[l]) continue;
       try {
         r.fallback_interval(l, t, edge_step);
-        for (std::size_t u = 0; u < num_unknowns_; ++u)
+        for (std::size_t u = 0; u < num_nodes; ++u)
           r.v_piece[r.at(u, l)] = r.v[r.at(u, l)];
         // The fallback left this lane's state off the shared trajectory a
         // stale residual check must not trust blindly next piece.

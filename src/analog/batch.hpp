@@ -27,6 +27,12 @@
 //    and a row-scaled residual check, so a stale or neighboring-lane
 //    Jacobian can never fake convergence: the residual is evaluated against
 //    the lane's own exact device currents.
+//  * Lanes carry node voltages only, and factor only the free nodes' block
+//    (engine.hpp's RowMap). A source-driven node steps to V(t) whichever
+//    rung serves the lane; that step reaches the free rows through the
+//    factored Jacobian's source columns, which each slot keeps as a short
+//    sparse list. A source's current is its node's KCL sum at the lane's
+//    converged iterate.
 //  * A lane the quasi-Newton iteration cannot converge is ejected to the
 //    scalar path for that nominal step: it re-integrates the interval with
 //    Simulator::advance_interval (the exact halving + rescue ladder), then
@@ -101,10 +107,9 @@ class BatchSimulator {
 
  private:
   Netlist net_;  // private copy; swept element retargeted per refresh
+  RowMap rows_;
   SweptElement swept_;
   std::vector<double> values_;
-  std::size_t num_nodes_ = 0;
-  std::size_t num_unknowns_ = 0;
   std::vector<std::pair<std::string, double>> initial_;
 };
 

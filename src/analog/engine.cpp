@@ -35,11 +35,34 @@ void count_run(const Simulator::Stats& stats) {
 
 }  // namespace
 
-Simulator::Simulator(const Netlist& netlist) : netlist_(netlist) {
-  num_nodes_ = netlist_.node_count() - 1;  // ground eliminated
-  num_unknowns_ = num_nodes_ + netlist_.vsources().size();
-  a_.resize(num_unknowns_);
-  rhs_.assign(num_unknowns_, 0.0);
+RowMap::RowMap(const Netlist& netlist) {
+  const std::size_t nodes = netlist.node_count() - 1;  // ground eliminated
+  constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
+  row_of_node_.assign(nodes, kUnset);
+  const auto& sources = netlist.vsources();
+  free_ = nodes - sources.size();
+  for (std::size_t k = 0; k < sources.size(); ++k)
+    row_of_node_[static_cast<std::size_t>(sources[k].pos) - 1] = free_ + k;
+  node_of_row_.assign(nodes, 0);
+  std::size_t next = 0;
+  for (std::size_t u = 0; u < nodes; ++u) {
+    if (row_of_node_[u] == kUnset) row_of_node_[u] = next++;
+    node_of_row_[row_of_node_[u]] = u;
+  }
+}
+
+void source_voltages(const Netlist& netlist, double t,
+                     std::vector<double>& out) {
+  const auto& sources = netlist.vsources();
+  out.resize(sources.size());
+  for (std::size_t k = 0; k < sources.size(); ++k)
+    out[k] = sources[k].wave.value(t);
+}
+
+Simulator::Simulator(const Netlist& netlist)
+    : netlist_(netlist), rows_(netlist) {
+  a_.resize(rows_.nodes());
+  rhs_.assign(rows_.nodes(), 0.0);
 }
 
 void Simulator::set_initial(NodeId node, double volts) {
@@ -51,22 +74,24 @@ void Simulator::set_initial(const std::string& node_name, double volts) {
   set_initial(netlist_.find_node(node_name), volts);
 }
 
-void assemble_system(const Netlist& netlist,
-                     const std::vector<MosParams>& run_params, double t,
-                     double dt, double gmin,
-                     const std::vector<double>& gmin_target,
+void assemble_system(const Netlist& netlist, const RowMap& rows,
+                     const std::vector<MosParams>& run_params,
+                     const std::vector<double>& source_v, double dt,
+                     double gmin, const std::vector<double>& gmin_target,
                      const std::vector<double>& v,
                      const std::vector<double>& v_prev, DenseMatrix& a_,
                      std::vector<double>& rhs_) {
   const Netlist& netlist_ = netlist;
   const std::vector<MosParams>& run_params_ = run_params;
   const std::vector<double>& gmin_target_ = gmin_target;
-  const std::size_t num_nodes_ = netlist.node_count() - 1;
+  const std::size_t num_nodes_ = rows.nodes();
 
   a_.set_zero();
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
 
-  const auto idx = [](NodeId n) { return static_cast<std::size_t>(n) - 1; };
+  const auto idx = [&rows](NodeId n) {
+    return rows.row(static_cast<std::size_t>(n) - 1);
+  };
   const auto voltage_of = [](const std::vector<double>& x, NodeId node) {
     return node == kGround ? 0.0 : x[static_cast<std::size_t>(node) - 1];
   };
@@ -76,8 +101,9 @@ void assemble_system(const Netlist& netlist,
   // ground, so large early gmin values do not erase the caller's chosen
   // basin (a bistable latch would otherwise land on its metastable point).
   for (std::size_t n = 0; n < num_nodes_; ++n) {
-    a_.add(n, n, gmin);
-    if (!gmin_target_.empty()) rhs_[n] += gmin * gmin_target_[n];
+    const std::size_t r = rows.row(n);
+    a_.add(r, r, gmin);
+    if (!gmin_target_.empty()) rhs_[r] += gmin * gmin_target_[n];
   }
 
   for (const auto& r : netlist_.resistors()) {
@@ -107,22 +133,6 @@ void assemble_system(const Netlist& netlist,
       a_.add(idx(c.a), idx(c.b), -g);
       a_.add(idx(c.b), idx(c.a), -g);
     }
-  }
-
-  // Voltage sources: branch current unknowns after the node block.
-  const auto& sources = netlist_.vsources();
-  for (std::size_t k = 0; k < sources.size(); ++k) {
-    const auto& src = sources[k];
-    const std::size_t br = num_nodes_ + k;
-    if (src.pos != kGround) {
-      a_.add(idx(src.pos), br, 1.0);
-      a_.add(br, idx(src.pos), 1.0);
-    }
-    if (src.neg != kGround) {
-      a_.add(idx(src.neg), br, -1.0);
-      a_.add(br, idx(src.neg), -1.0);
-    }
-    rhs_[br] = src.wave.value(t);
   }
 
   // Breakdown bridges: two-terminal nonlinear I(v), linearized around the
@@ -183,53 +193,68 @@ void assemble_system(const Netlist& netlist,
     stamp_row(m.d, +1.0);
     stamp_row(m.s, -1.0);
   }
+
+  // Source columns: each source node's voltage is known, so its column
+  // moves to the free rows' right-hand side.
+  const std::size_t num_free = rows.free();
+  for (std::size_t r = 0; r < num_free; ++r)
+    for (std::size_t k = 0; k < source_v.size(); ++k)
+      rhs_[r] -= a_.at(r, num_free + k) * source_v[k];
 }
 
-void Simulator::assemble(double t, double dt, double gmin,
-                         const std::vector<double>& v,
-                         const std::vector<double>& v_prev) {
-  assemble_system(netlist_, run_params_, t, dt, gmin, gmin_target_, v, v_prev,
-                  a_, rhs_);
+double source_current(const RowMap& rows, const DenseMatrix& a,
+                      const std::vector<double>& rhs, std::size_t k,
+                      const std::vector<double>& v) {
+  const std::size_t row = rows.free() + k;
+  double current = -rhs[row];
+  for (std::size_t c = 0; c < rows.nodes(); ++c)
+    current += a.at(row, c) * v[rows.node(c)];
+  return current;
 }
 
 bool Simulator::solve_step(double t, double dt, const TransientSpec& spec,
                            const std::vector<double>& v_prev,
                            std::vector<double>& v, double damping,
                            int max_newton) {
-  std::vector<double> x(num_unknowns_);
+  const std::size_t num_free = rows_.free();
+  source_voltages(netlist_, t, source_v_);
+  // The Newton target of the node at row r: the solve's value for a free
+  // node, the source's voltage for a driven one.
+  std::vector<double> x(num_free);
+  const auto target = [&](std::size_t r) {
+    return r < num_free ? x[r] : source_v_[r - num_free];
+  };
   for (int iter = 0; iter < max_newton; ++iter) {
     ++stats_.newton_iterations;
-    assemble(t, dt, spec.gmin, v, v_prev);
+    assemble_system(netlist_, rows_, run_params_, source_v_, dt, spec.gmin,
+                    gmin_target_, v, v_prev, a_, rhs_);
     ++stats_.factorizations;
-    if (!lu_.factor(a_)) {
+    if (!lu_.factor(a_, num_free)) {
       stats_.last_failure = "singular Jacobian at t=" + std::to_string(t);
       stats_.last_failure_kind = SolverFailure::SingularMatrix;
       return false;
     }
-    x = rhs_;
+    std::copy(rhs_.begin(), rhs_.begin() + static_cast<long>(num_free),
+              x.begin());
     lu_.solve(x);
     // Progressive damping: strongly nonlinear devices (breakdown bridges)
     // can make full-size Newton steps oscillate across a kink; shrinking
     // the clamp after a while forces the iteration to settle.
     const double clamp = iter < 25 ? damping : 0.1 * damping;
     double worst = 0.0;
-    for (std::size_t i = 0; i < num_unknowns_; ++i) {
-      double delta = x[i] - v[i];
-      const double raw = std::fabs(delta);
-      if (i < num_nodes_) {
-        // Damp node-voltage updates; branch currents move freely.
-        delta = std::clamp(delta, -clamp, clamp);
-        worst = std::max(worst, raw);
-      }
-      v[i] += delta;
+    for (std::size_t r = 0; r < rows_.nodes(); ++r) {
+      double& node_v = v[rows_.node(r)];
+      const double delta = target(r) - node_v;
+      worst = std::max(worst, std::fabs(delta));
+      node_v += std::clamp(delta, -clamp, clamp);
     }
     if (worst < spec.vtol) return true;
     if (iter == max_newton - 1) {
-      // Record which unknown refused to settle, for diagnostics.
+      // Record which node refused to settle, for diagnostics.
       std::size_t worst_i = 0;
       double worst_d = 0.0;
-      for (std::size_t i = 0; i < num_nodes_; ++i) {
-        const double d = std::fabs(x[i] - v[i]);
+      for (std::size_t i = 0; i < rows_.nodes(); ++i) {
+        const double d = std::fabs(target(rows_.row(i)) - v[i]);
         if (d > worst_d) {
           worst_d = d;
           worst_i = i;
@@ -244,43 +269,27 @@ bool Simulator::solve_step(double t, double dt, const TransientSpec& spec,
   return false;
 }
 
-void resolve_record_signals(const Netlist& netlist, std::size_t num_nodes,
-                            const std::vector<std::string>& record,
-                            std::vector<long>& index,
-                            std::vector<bool>& negate) {
-  // Record entries are node voltages, or "I(NAME)" branch currents (stored
-  // at unknown index num_nodes + source_index; the MNA convention makes
-  // the stored branch current flow INTO the positive terminal, so it is
-  // negated to report conventional source output current).
-  index.clear();
-  negate.clear();
+std::vector<std::size_t> resolve_record_signals(
+    const Netlist& netlist, const std::vector<std::string>& record) {
+  const std::size_t num_nodes = netlist.node_count() - 1;
+  std::vector<std::size_t> index;
   index.reserve(record.size());
   for (const auto& name : record) {
     if (name.size() > 3 && name.rfind("I(", 0) == 0 && name.back() == ')') {
       const std::string source_name = name.substr(2, name.size() - 3);
-      bool found = false;
       const auto& sources = netlist.vsources();
-      for (std::size_t k = 0; k < sources.size(); ++k) {
-        if (sources[k].name == source_name) {
-          index.push_back(static_cast<long>(num_nodes + k));
-          negate.push_back(true);
-          found = true;
-          break;
-        }
-      }
-      require(found, "Simulator: unknown source in record entry " + name);
+      std::size_t k = 0;
+      while (k < sources.size() && sources[k].name != source_name) ++k;
+      require(k < sources.size(),
+              "Simulator: unknown source in record entry " + name);
+      index.push_back(num_nodes + k);
     } else {
-      index.push_back(netlist.find_node(name) - 1);
-      negate.push_back(false);
-      require(index.back() >= 0, "Simulator: cannot record the ground node");
+      const NodeId node = netlist.find_node(name);
+      require(node != kGround, "Simulator: cannot record the ground node");
+      index.push_back(static_cast<std::size_t>(node) - 1);
     }
   }
-}
-
-void Simulator::resolve_record(const std::vector<std::string>& record,
-                               std::vector<long>& index,
-                               std::vector<bool>& negate) const {
-  resolve_record_signals(netlist_, num_nodes_, record, index, negate);
+  return index;
 }
 
 Trace Simulator::solve_dc(const std::vector<std::string>& record, double temp_c) {
@@ -288,9 +297,8 @@ Trace Simulator::solve_dc(const std::vector<std::string>& record, double temp_c)
     static metrics::Counter& dc_solves = metrics::counter("analog.dc_solves");
     dc_solves.add(1);
   }
-  std::vector<long> record_index;
-  std::vector<bool> record_negate;
-  resolve_record(record, record_index, record_negate);
+  const std::vector<std::size_t> record_index =
+      resolve_record_signals(netlist_, record);
 
   run_params_.clear();
   run_params_.reserve(netlist_.mosfets().size());
@@ -298,13 +306,11 @@ Trace Simulator::solve_dc(const std::vector<std::string>& record, double temp_c)
     run_params_.push_back(temp_c == 25.0 ? m.params
                                          : at_temperature(m.params, temp_c));
 
-  std::vector<double> v(num_unknowns_, 0.0);
+  std::vector<double> v(rows_.nodes(), 0.0);
   for (const auto& [node, volts] : initial_)
     v[static_cast<std::size_t>(node) - 1] = volts;
-  for (const auto& src : netlist_.vsources()) {
-    if (src.pos != kGround && src.neg == kGround)
-      v[static_cast<std::size_t>(src.pos) - 1] = src.wave.value(0.0);
-  }
+  for (const auto& src : netlist_.vsources())
+    v[static_cast<std::size_t>(src.pos) - 1] = src.wave.value(0.0);
 
   // gmin stepping: successively tighten the conductance floor, reusing the
   // previous solution as the next starting point. The enormous dt makes
@@ -312,7 +318,7 @@ Trace Simulator::solve_dc(const std::vector<std::string>& record, double temp_c)
   // toward the initial guess so the caller's basin survives the early,
   // strong steps.
   constexpr double kDcDt = 1e30;
-  gmin_target_.assign(v.begin(), v.begin() + static_cast<long>(num_nodes_));
+  gmin_target_ = v;
   bool converged = false;
   for (const double gmin : {1e-2, 1e-4, 1e-6, 1e-9, 1e-12}) {
     TransientSpec spec;
@@ -327,12 +333,11 @@ Trace Simulator::solve_dc(const std::vector<std::string>& record, double temp_c)
                       "solve_dc: Newton failed at the final gmin (" +
                           stats_.last_failure + ")");
 
+  state_ = std::move(v);
   Trace trace(record);
   std::vector<double> samples(record_index.size());
-  for (std::size_t i = 0; i < record_index.size(); ++i) {
-    const double value = v[static_cast<std::size_t>(record_index[i])];
-    samples[i] = record_negate[i] ? -value : value;
-  }
+  for (std::size_t i = 0; i < record_index.size(); ++i)
+    samples[i] = signal(record_index[i]);
   trace.append(0.0, samples);
   return trace;
 }
@@ -368,20 +373,21 @@ void Simulator::prepare(const TransientSpec& spec) {
     run_params_.push_back(spec.temp_c == 25.0 ? m.params
                                               : at_temperature(m.params, spec.temp_c));
 
-  // State vector: node voltages then branch currents, seeded from ICs.
-  state_.assign(num_unknowns_, 0.0);
+  // State vector: node voltages, seeded from ICs.
+  state_.assign(rows_.nodes(), 0.0);
   for (const auto& [node, volts] : initial_)
     state_[static_cast<std::size_t>(node) - 1] = volts;
   // Sources pin their nodes from the very first instant: seed them so the
   // capacitor history at t=0 is consistent with the stimulus.
-  for (const auto& src : netlist_.vsources()) {
-    if (src.pos != kGround && src.neg == kGround)
-      state_[static_cast<std::size_t>(src.pos) - 1] = src.wave.value(0.0);
-  }
+  for (const auto& src : netlist_.vsources())
+    state_[static_cast<std::size_t>(src.pos) - 1] = src.wave.value(0.0);
+  // No Newton iteration has run yet, so every source current reads 0.
+  a_.set_zero();
+  std::fill(rhs_.begin(), rhs_.end(), 0.0);
 }
 
 void Simulator::set_state(const std::vector<double>& v) {
-  require(v.size() == num_unknowns_, "Simulator::set_state dimension mismatch");
+  require(v.size() == rows_.nodes(), "Simulator::set_state dimension mismatch");
   state_ = v;
 }
 
@@ -444,17 +450,14 @@ Trace Simulator::run(const TransientSpec& spec, const std::vector<std::string>& 
   }
   prepare(spec);
 
-  std::vector<long> record_index;
-  std::vector<bool> record_negate;
-  resolve_record(record, record_index, record_negate);
+  const std::vector<std::size_t> record_index =
+      resolve_record_signals(netlist_, record);
   Trace trace(record);
 
   std::vector<double> samples(record_index.size());
   auto record_point = [&](double t) {
-    for (std::size_t i = 0; i < record_index.size(); ++i) {
-      const double value = state_[static_cast<std::size_t>(record_index[i])];
-      samples[i] = record_negate[i] ? -value : value;
-    }
+    for (std::size_t i = 0; i < record_index.size(); ++i)
+      samples[i] = signal(record_index[i]);
     trace.append(t, samples);
   };
   record_point(0.0);

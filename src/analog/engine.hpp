@@ -1,5 +1,14 @@
-// Transient circuit simulator: modified nodal analysis, Newton-Raphson on
-// the nonlinear devices, backward-Euler integration of capacitors.
+// Transient circuit simulator: nodal analysis, Newton-Raphson on the
+// nonlinear devices, backward-Euler integration of capacitors.
+//
+// Every voltage source drives a node against ground (Netlist::add_vsource),
+// so that node's voltage is a known input, V(t), not an unknown: its column
+// of the Jacobian moves to the right-hand side, and its KCL row stays out of
+// the solve. Modified nodal analysis would add a branch-current unknown per
+// source; eliminating those exactly leaves the same Newton map on fewer
+// unknowns (26 of the standard 2x1 block's 34 nodes, against 42). A
+// source's current I(NAME) is its node's KCL row applied to the accepted
+// iterate.
 //
 // Scope: the netlists simulated here are a single SRAM block plus periphery
 // (tens of nodes), driven by march-test stimuli over tens of clock cycles.
@@ -66,34 +75,68 @@ struct TransientSpec {
   double temp_c = 25.0;
 };
 
-/// Assemble the full MNA system (Newton Jacobian + right-hand side) for
-/// `netlist` linearized at iterate `v` with backward-Euler capacitor history
-/// `v_prev`. `run_params` are the temperature-adjusted MOSFET parameters
-/// (aligned with netlist.mosfets()); `gmin_target`, when non-empty, makes
-/// the gmin floor pull toward that voltage per node instead of ground (DC
-/// gmin stepping). Exposed as a free function so the batched kernel
-/// (analog/batch.cpp) shares the exact stamp code of the scalar path;
-/// Simulator::assemble delegates here.
-void assemble_system(const Netlist& netlist,
-                     const std::vector<MosParams>& run_params, double t,
-                     double dt, double gmin,
-                     const std::vector<double>& gmin_target,
+/// Row order of a netlist's Newton system, built once per netlist. Node
+/// index u is NodeId u + 1 (ground has no row). The free nodes, which no
+/// source drives, take rows [0, free()) in node order; source k's node takes
+/// row free() + k.
+class RowMap {
+ public:
+  explicit RowMap(const Netlist& netlist);
+
+  std::size_t nodes() const { return node_of_row_.size(); }
+  /// Unknowns of the Newton solve.
+  std::size_t free() const { return free_; }
+  std::size_t row(std::size_t node_index) const { return row_of_node_[node_index]; }
+  std::size_t node(std::size_t row) const { return node_of_row_[row]; }
+  /// Node index of source k.
+  std::size_t source_node(std::size_t k) const { return node_of_row_[free_ + k]; }
+
+ private:
+  std::size_t free_ = 0;
+  std::vector<std::size_t> row_of_node_;
+  std::vector<std::size_t> node_of_row_;
+};
+
+/// Each source's voltage at time t, in netlist.vsources() order.
+void source_voltages(const Netlist& netlist, double t, std::vector<double>& out);
+
+/// Assemble the Newton system of `netlist` linearized at node voltages `v`
+/// (node order) with backward-Euler capacitor history `v_prev`, at the
+/// source voltages `source_v` (source_voltages() at the step's time). `a`
+/// and `rhs` span every node in `rows` order: the leading free() x free()
+/// block of `a` is the Jacobian of the free nodes, and rhs[0, free()) their
+/// right-hand side with the source columns' known voltages moved over. Row
+/// free() + k is the KCL row of source k's node, over every column; the
+/// columns right of the block are the source columns. `run_params` are the
+/// temperature-adjusted MOSFET parameters (aligned with netlist.mosfets());
+/// `gmin_target`, when non-empty, makes the gmin floor pull toward that
+/// voltage per node instead of ground (DC gmin stepping). Exposed as a free
+/// function so the batched kernel (analog/batch.cpp) shares the exact stamp
+/// code of the scalar path; Simulator::assemble delegates here.
+void assemble_system(const Netlist& netlist, const RowMap& rows,
+                     const std::vector<MosParams>& run_params,
+                     const std::vector<double>& source_v, double dt,
+                     double gmin, const std::vector<double>& gmin_target,
                      const std::vector<double>& v,
                      const std::vector<double>& v_prev, DenseMatrix& a,
                      std::vector<double>& rhs);
+
+/// Current out of source k's positive terminal into the circuit: the KCL
+/// row of its node in a system from assemble_system, applied to the node
+/// voltages `v`.
+double source_current(const RowMap& rows, const DenseMatrix& a,
+                      const std::vector<double>& rhs, std::size_t k,
+                      const std::vector<double>& v);
 
 /// Per-nominal-step flags marking which steps of a transient contain a
 /// stimulus breakpoint (and therefore get fine edge substeps).
 std::vector<bool> edge_step_flags(const Netlist& netlist,
                                   const TransientSpec& spec);
 
-/// Resolve record entries (node names or "I(NAME)" branch currents) to
-/// unknown-vector indices. `negate[i]` marks branch currents, which are
-/// stored flowing into the positive terminal and reported negated.
-void resolve_record_signals(const Netlist& netlist, std::size_t num_nodes,
-                            const std::vector<std::string>& record,
-                            std::vector<long>& index,
-                            std::vector<bool>& negate);
+/// Resolve record entries to indices: a node name to its node index, and
+/// "I(NAME)" to nodes() + k for source k.
+std::vector<std::size_t> resolve_record_signals(
+    const Netlist& netlist, const std::vector<std::string>& record);
 
 /// Simulates a netlist. The netlist must outlive the simulator.
 class Simulator {
@@ -106,10 +149,11 @@ class Simulator {
   void set_initial(const std::string& node_name, double volts);
 
   /// Run a transient and record the named signals at every nominal step.
-  /// A record entry is either a node name ("bl0") or a voltage-source
-  /// branch current "I(NAME)" (positive current flows out of the source's
-  /// positive terminal through the circuit). Throws Error if the Newton
-  /// iteration fails even after step halving and the rescue pass.
+  /// A record entry is either a node name ("bl0") or a voltage source's
+  /// current "I(NAME)" (positive current flows out of the source's
+  /// positive terminal into the circuit; see source_current). Throws Error
+  /// if the Newton iteration fails even after step halving and the rescue
+  /// pass.
   Trace run(const TransientSpec& spec, const std::vector<std::string>& record);
 
   /// DC operating point: Newton with gmin stepping, capacitors open,
@@ -122,16 +166,19 @@ class Simulator {
   /// fallback. `prepare` does everything run() does before its step loop
   /// (reset stats, temperature-adjust the MOSFET models, seed the state
   /// vector from initial conditions and t=0 source values); `state` /
-  /// `set_state` expose the unknown vector (node voltages then branch
-  /// currents); `advance_interval` integrates one nominal interval
-  /// [t, t + spec.dt] with the exact halving / rescue ladder of run(),
-  /// throwing SolverError when even the rescue pass gives up.
+  /// `set_state` expose every node voltage, in node order;
+  /// `advance_interval` integrates one nominal interval [t, t + spec.dt]
+  /// with the exact halving / rescue ladder of run(), throwing SolverError
+  /// when even the rescue pass gives up. `source_current(k)` is source k's
+  /// output current at state(): its node's KCL row from the last Newton
+  /// iteration, applied to state() (0 before the first iteration).
   void prepare(const TransientSpec& spec);
   void advance_interval(double t, const TransientSpec& spec, bool edge_step);
   const std::vector<double>& state() const { return state_; }
   void set_state(const std::vector<double>& v);
-
-  std::size_t num_unknowns() const { return num_unknowns_; }
+  double source_current(std::size_t k) const {
+    return analog::source_current(rows_, a_, rhs_, k, state_);
+  }
 
   /// Statistics from the last run (for perf benchmarks / regression tests).
   struct Stats {
@@ -159,19 +206,14 @@ class Simulator {
                   const std::vector<double>& v_prev, std::vector<double>& v,
                   double damping, int max_newton);
 
-  void assemble(double t, double dt, double gmin, const std::vector<double>& v,
-                const std::vector<double>& v_prev);
-
-  void resolve_record(const std::vector<std::string>& record,
-                      std::vector<long>& index, std::vector<bool>& negate) const;
-
-  double voltage_of(const std::vector<double>& x, NodeId node) const {
-    return node == kGround ? 0.0 : x[static_cast<std::size_t>(node) - 1];
+  /// Record entry i's value at the current state (see resolve_record_signals).
+  double signal(std::size_t index) const {
+    return index < rows_.nodes() ? state_[index]
+                                 : source_current(index - rows_.nodes());
   }
 
   const Netlist& netlist_;
-  std::size_t num_nodes_ = 0;     // excluding ground
-  std::size_t num_unknowns_ = 0;  // nodes + vsource branch currents
+  RowMap rows_;
   /// Per-run temperature-adjusted MOSFET parameters (aligned with
   /// netlist_.mosfets()): the adjustment runs once per transient instead of
   /// once per model evaluation.
@@ -179,11 +221,14 @@ class Simulator {
   /// When non-empty (DC gmin stepping), the gmin conductance pulls each
   /// node toward this target voltage instead of ground.
   std::vector<double> gmin_target_;
+  /// The last Newton iteration's system (assemble_system); its source rows
+  /// give source_current().
   DenseMatrix a_;
   std::vector<double> rhs_;
+  std::vector<double> source_v_;  // source voltages at the step's time
   LuSolver lu_;
   std::unordered_map<NodeId, double> initial_;
-  /// Unknown vector of the in-flight transient (see prepare / state).
+  /// Node voltages of the in-flight transient (see prepare / state).
   std::vector<double> state_;
   Stats stats_;
 };

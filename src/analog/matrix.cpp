@@ -17,8 +17,9 @@ void DenseMatrix::resize(std::size_t n) {
 
 void DenseMatrix::set_zero() { data_.assign(data_.size(), 0.0); }
 
-bool LuSolver::factor(const DenseMatrix& a) {
-  n_ = a.size();
+bool LuSolver::factor(const DenseMatrix& a, std::size_t n) {
+  require(n <= a.size(), "LuSolver::factor block exceeds the matrix");
+  n_ = n;
   lu_.resize(n_ * n_);
   piv_.resize(n_);
   for (std::size_t r = 0; r < n_; ++r)
@@ -111,16 +112,15 @@ void LuSolver::solve_block(double* b, std::size_t nrhs) const {
   }
 }
 
-bool LuWorkspace::factor(const DenseMatrix& a_base) {
-  factored_ = lu_.factor(a_base);
+bool LuWorkspace::factor(const DenseMatrix& a_base, std::size_t n) {
+  factored_ = lu_.factor(a_base, n);
   u_.clear();
   z_.clear();
   utz_ = 0.0;
-  const std::size_t n = a_base.size();
   row_norms_.assign(n, 0.0);
   for (std::size_t r = 0; r < n; ++r) {
     double norm = 0.0;
-    for (std::size_t c = 0; c < n; ++c)
+    for (std::size_t c = 0; c < a_base.size(); ++c)
       norm = std::max(norm, std::fabs(a_base.at(r, c)));
     // Tiny floor only to keep an (impossible in MNA) all-zero row from
     // turning the residual guard into a division by zero. The norm must NOT

@@ -1,8 +1,11 @@
 // Dense linear algebra for the MNA solver.
 //
-// Circuit matrices in this library are small (tens of unknowns: one SRAM
-// block plus periphery), so a dense LU with partial pivoting is both the
-// simplest and the fastest option.
+// Circuit matrices in this library are small (26 unknowns for the standard
+// 2x1 SRAM block plus periphery, whose source-driven nodes are known inputs
+// rather than unknowns), so a dense LU with partial pivoting is both the
+// simplest and the fastest option. The engine assembles a row for every
+// node and factors only the leading block of unknown nodes, so both factor
+// classes take the size of the block to factor.
 #pragma once
 
 #include <cassert>
@@ -50,7 +53,9 @@ class DenseMatrix {
 /// `factor` returns false if the matrix is numerically singular.
 class LuSolver {
  public:
-  bool factor(const DenseMatrix& a);
+  bool factor(const DenseMatrix& a) { return factor(a, a.size()); }
+  /// Factor the leading n x n block of `a`.
+  bool factor(const DenseMatrix& a, std::size_t n);
 
   /// Solve A x = b in place (b becomes x). Requires a prior successful factor.
   void solve(std::vector<double>& b) const;
@@ -91,7 +96,13 @@ class LuWorkspace {
  public:
   /// Factor the base matrix. Returns false on numerical singularity, in
   /// which case the workspace is unusable until the next successful factor.
-  bool factor(const DenseMatrix& a_base);
+  bool factor(const DenseMatrix& a_base) {
+    return factor(a_base, a_base.size());
+  }
+  /// Factor the leading n x n block of `a_base`. The row norms of its first
+  /// n rows span every column of `a_base`, so entries right of the block (a
+  /// reduced system's source columns) still set a row's scale.
+  bool factor(const DenseMatrix& a_base, std::size_t n);
 
   /// Register the rank-1 direction u (sparse: (row, coefficient) pairs) and
   /// cache z = A_base^{-1} u. The direction survives until the next factor
@@ -107,9 +118,9 @@ class LuWorkspace {
   /// Plain base solve, A_base x = b in place.
   void solve(std::vector<double>& b) const { lu_.solve(b); }
 
-  /// Infinity norm of each base-matrix row, for residual-convergence
-  /// scaling: a residual entry r_i is "small" when |r_i| / row_norm(i) is
-  /// below the voltage tolerance.
+  /// Infinity norm of each factored row of the base matrix, for
+  /// residual-convergence scaling: a residual entry r_i is "small" when
+  /// |r_i| / row_norm(i) is below the voltage tolerance.
   double row_norm(std::size_t row) const { return row_norms_[row]; }
 
   bool factored() const { return factored_; }

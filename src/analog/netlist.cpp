@@ -49,7 +49,14 @@ void Netlist::add_capacitor(const std::string& name, NodeId a, NodeId b, double 
 
 void Netlist::add_vsource(const std::string& name, NodeId pos, NodeId neg,
                           PwlWaveform wave) {
-  vsources_.push_back({name, pos, neg, std::move(wave)});
+  require(neg == kGround,
+          "Netlist: vsource " + name + " needs its negative terminal at ground");
+  require(pos != kGround, "Netlist: vsource " + name + " cannot drive ground");
+  for (const auto& source : vsources_)
+    if (source.pos == pos)
+      throw Error("Netlist: vsource " + name + " drives " + node_name(pos) +
+                  ", already driven by " + source.name);
+  vsources_.push_back({name, pos, std::move(wave)});
 }
 
 void Netlist::add_mosfet(const std::string& name, MosType type, NodeId d, NodeId g,

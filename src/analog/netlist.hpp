@@ -4,7 +4,10 @@
 // (src/sram) generate a fault-free netlist, the defect injectors
 // (src/defects) perturb it — a *bridge* adds a resistor between two nodes,
 // an *open* raises the resistance of a named "joint" (a designated
-// connection segment) — and the engine (engine.hpp) simulates it.
+// connection segment) — and the engine (engine.hpp) simulates it. Every
+// voltage source drives one node of its own against ground, which
+// add_vsource checks: the engine takes such a node's voltage as a known
+// input and solves only for the other nodes.
 #pragma once
 
 #include <string>
@@ -34,10 +37,11 @@ struct Capacitor {
   double farads = 0.0;
 };
 
+/// A voltage source from node `pos` to ground. The engine takes `pos` as a
+/// known input, wave(t), rather than an unknown of its Newton solve.
 struct VSource {
   std::string name;
   NodeId pos = kGround;
-  NodeId neg = kGround;
   PwlWaveform wave;
 };
 
@@ -89,6 +93,8 @@ class Netlist {
 
   void add_resistor(const std::string& name, NodeId a, NodeId b, double ohms);
   void add_capacitor(const std::string& name, NodeId a, NodeId b, double farads);
+  /// A source's negative terminal must be ground, and its positive terminal
+  /// a node that no other source drives; Error names the source otherwise.
   void add_vsource(const std::string& name, NodeId pos, NodeId neg, PwlWaveform wave);
   void add_mosfet(const std::string& name, MosType type, NodeId d, NodeId g, NodeId s,
                   const MosParams& params);

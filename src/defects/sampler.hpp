@@ -42,6 +42,13 @@ class DefectSampler {
 
   Defect sample(Rng& rng) const;
 
+  /// Poisson mean of defects in `area_um2` at this sampler's density: the
+  /// MTJ fab model's in MTJ mode, the conductor fab model's otherwise.
+  double expected_defects(double area_um2) const {
+    return mtj_mode_ ? mtj_fab_.expected_defects(area_um2)
+                     : fab_.expected_defects(area_um2);
+  }
+
   const SitePopulation& population() const { return population_; }
   const FabModel& fab() const { return fab_; }
   const MtjFabModel& mtj_fab() const { return mtj_fab_; }

@@ -374,7 +374,7 @@ Json MemstressService::study_shard(const Json& params,
   require_technology(params);
   study::StudyConfig config = study_config_from_json(params.at("config"));
   config.cancel = context.cancel;
-  const double lambda = sampler_.fab().expected_defects(config.chip_area_um2());
+  const double lambda = sampler_.expected_defects(config.chip_area_um2());
   if (!(lambda <= kMaxExpectedDefects)) {
     char message[96];
     std::snprintf(message, sizeof message,

@@ -200,7 +200,7 @@ MaskCounts evaluate_range(const StudyConfig& config,
     device_counter.add(static_cast<long long>(devices));
   }
   const PoissonDraw defects_per_device(
-      sampler.fab().expected_defects(config.chip_area_um2()));
+      sampler.expected_defects(config.chip_area_um2()));
   const std::size_t block_size =
       std::max<std::size_t>(1, (devices + kMaxBlocks - 1) / kMaxBlocks);
   const std::size_t blocks = (devices + block_size - 1) / block_size;

@@ -77,6 +77,45 @@ TEST(Netlist, VsourceWaveReplaceable) {
   EXPECT_THROW(nl.set_vsource_wave("missing", PwlWaveform::dc(0.0)), Error);
 }
 
+/// The Error add_vsource throws, or "" if it accepts the source.
+std::string vsource_error(Netlist& nl, const std::string& name, NodeId pos,
+                          NodeId neg) {
+  try {
+    nl.add_vsource(name, pos, neg, PwlWaveform::dc(1.0));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The engine takes a source's node as a known input, so a source must drive
+// a node of its own against ground. A doubly driven node used to fail only
+// at run time, as a singular Jacobian.
+TEST(Netlist, VsourceNeedsAGroundedNegativeTerminal) {
+  Netlist nl;
+  const std::string error =
+      vsource_error(nl, "VFLOAT", nl.node("a"), nl.node("b"));
+  EXPECT_NE(error.find("VFLOAT"), std::string::npos) << error;
+  EXPECT_TRUE(nl.vsources().empty());
+}
+
+TEST(Netlist, VsourceCannotDriveGround) {
+  Netlist nl;
+  const std::string error = vsource_error(nl, "VGND", kGround, kGround);
+  EXPECT_NE(error.find("VGND"), std::string::npos) << error;
+  EXPECT_TRUE(nl.vsources().empty());
+}
+
+TEST(Netlist, VsourceCannotDriveADrivenNode) {
+  Netlist nl;
+  const NodeId x = nl.node("x");
+  ASSERT_EQ(vsource_error(nl, "V1", x, kGround), "");
+  const std::string error = vsource_error(nl, "V2", x, kGround);
+  EXPECT_NE(error.find("V2"), std::string::npos) << error;
+  EXPECT_NE(error.find("V1"), std::string::npos) << error;
+  EXPECT_EQ(nl.vsources().size(), 1u);
+}
+
 TEST(Netlist, CopyIsIndependent) {
   // The whole defect-injection flow relies on cheap value copies.
   Netlist original;

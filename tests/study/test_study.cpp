@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "layout/sram_layout.hpp"
+#include "tech/model.hpp"
 #include "util/error.hpp"
 
 namespace memstress::study {
@@ -221,6 +224,32 @@ TEST(StudyResult, SummaryMentionsKeyNumbers) {
   const std::string text = result.summary();
   EXPECT_NE(text.find("11000"), std::string::npos);
   EXPECT_NE(text.find("Screen effectiveness ratio"), std::string::npos);
+}
+
+TEST(MtjStudy, DrawsDefectsAtTheMtjDensity) {
+  // An MTJ-mode sampler's devices carry defects at the MTJ fab model's
+  // density (1.2e-7 per um^2), not at the conductor model's (8e-8), which
+  // would leave about a third fewer devices defective.
+  estimator::CharacterizeSpec spec =
+      tech::default_characterize_spec(tech::Technology::SttMram);
+  spec.block.rows = 2;
+  spec.block.cols = 1;
+  spec.threads = 1;
+  const DetectabilityDb db = estimator::characterize(spec);
+  const defects::DefectSampler sampler(defects::MtjFabModel{}, spec.block);
+  StudyConfig config;
+  config.device_count = 20000;
+  config.threads = 1;
+  const StudyResult result = run_study(config, db, sampler);
+
+  const double lambda =
+      defects::MtjFabModel{}.expected_defects(config.chip_area_um2());
+  EXPECT_DOUBLE_EQ(sampler.expected_defects(config.chip_area_um2()), lambda);
+  // A device is defective with probability 1 - exp(-lambda).
+  const double n = static_cast<double>(config.device_count);
+  const double p = 1.0 - std::exp(-lambda);
+  EXPECT_NEAR(static_cast<double>(result.defective), n * p,
+              4.0 * std::sqrt(n * p * (1.0 - p)));
 }
 
 }  // namespace
